@@ -13,8 +13,7 @@
 // recover at least 2x the aggregate MOPS of the drops policy with a lower
 // read p99. Every simulated metric is bit-deterministic, so the emitted
 // JSON is gated against a committed baseline (bench_gate fails on drift in
-// either direction), and one sweep point is re-run split across PDES
-// worker counts to pin that congestion does not break split determinism.
+// either direction).
 //
 // --jobs N runs sweep points concurrently; rows are emitted in sweep
 // order, so output is identical for any N.
@@ -164,27 +163,6 @@ int main(int argc, char** argv) {
                   "clients vs congestion-unaware drops");
   json.ShapeCheck(spot_ecn_p99 < spot_drops_p99,
                   "spot: ECN+DCQCN lowers read p99 at 12 clients");
-
-  // Congestion must not break split determinism: the hottest sweep point,
-  // re-run one PDES domain per node, yields byte-identical per-client op
-  // counts for any worker count. (Serial-vs-split equality is not the
-  // contract — cross-domain deliveries may flip same-timestamp tie-breaks;
-  // see ScaleSimTest.SplitTracksSerialWithinTieBreakTolerance.)
-  {
-    ScaleWorkloadConfig cfg = MakeConfig(Paradigm::kCowbird, 12, true);
-    cfg.split = true;
-    cfg.split_workers = 1;
-    const ScaleWorkloadResult one = RunScaleWorkload(cfg);
-    bool identical = true;
-    for (const int workers : {2, 4}) {
-      cfg.split_workers = workers;
-      const ScaleWorkloadResult many = RunScaleWorkload(cfg);
-      identical = identical && many.client_ops == one.client_ops;
-    }
-    json.ShapeCheck(identical,
-                    "congested per-node split runs bit-identical across "
-                    "worker counts 1/2/4 (per-client op counts)");
-  }
 
   return json.WriteFile() ? 0 : 1;
 }

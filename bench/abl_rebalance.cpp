@@ -11,9 +11,7 @@
 // is live, not a stop-the-world move), and the copy moved at least the
 // whole region once. Every simulated metric is bit-deterministic, so the
 // emitted JSON is gated against a committed baseline (bench_gate fails on
-// drift in either direction), and the migrating run is re-run split across
-// PDES worker counts to pin that the rebalance machinery — global cutover
-// tick included — does not break split determinism.
+// drift in either direction).
 //
 // --jobs N runs the engine sweeps concurrently; rows are emitted in sweep
 // order, so output is identical for any N.
@@ -125,26 +123,6 @@ int main(int argc, char** argv) {
   json.ShapeCheck(all_recovered,
                   "steady-state aggregate MOPS after cutover >= 0.9x the "
                   "pre-migration rate on both engines");
-
-  // The rebalance must not break split determinism: the same migrating
-  // run, one PDES domain per node, yields byte-identical per-client op
-  // counts — and still exactly one cutover — for any worker count.
-  {
-    ScaleWorkloadConfig cfg = MakeConfig(Paradigm::kCowbird);
-    cfg.split = true;
-    cfg.split_workers = 1;
-    const ScaleWorkloadResult one = RunScaleWorkload(cfg);
-    bool identical = one.migrations == 1;
-    for (const int workers : {2, 4}) {
-      cfg.split_workers = workers;
-      const ScaleWorkloadResult many = RunScaleWorkload(cfg);
-      identical = identical && many.client_ops == one.client_ops &&
-                  many.migrations == 1;
-    }
-    json.ShapeCheck(identical,
-                    "migrating per-node split runs bit-identical across "
-                    "worker counts 1/2/4 (per-client op counts)");
-  }
 
   return json.WriteFile() ? 0 : 1;
 }

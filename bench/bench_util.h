@@ -20,71 +20,31 @@
 
 namespace cowbird::bench {
 
-// The parallel-execution flags every sweep driver grew its own copy of:
-// --jobs N always, plus --split / --split-workers N / --split-scope
-// pair|node|packed when constructed with `with_split`. Call Consume once per argv
-// position inside the driver's flag loop; it returns true when it
-// recognized (and consumed, including any value operand) the flag. A
-// missing or malformed value flips ok() to false — the driver prints
-// Usage() and exits, same as for an unknown flag.
+// The --jobs N flag every sweep binary grew its own copy of. Call Consume
+// once per argv position inside the binary's flag loop; it returns true
+// when it recognized (and consumed, including the value operand) the flag.
+// A missing value flips ok() to false — the caller prints Usage() and
+// exits, same as for an unknown flag.
 class ParallelFlags {
  public:
-  explicit ParallelFlags(bool with_split = false) : with_split_(with_split) {}
-
   bool Consume(int argc, char** argv, int& i) {
-    const char* const flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        ok_ = false;
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(flag, "--jobs") == 0) {
-      if (const char* v = value()) jobs = std::atoi(v);
+    if (std::strcmp(argv[i], "--jobs") != 0) return false;
+    if (i + 1 >= argc) {
+      ok_ = false;
       return true;
     }
-    if (!with_split_) return false;
-    if (std::strcmp(flag, "--split") == 0) {
-      split = true;
-      return true;
-    }
-    if (std::strcmp(flag, "--split-workers") == 0) {
-      if (const char* v = value()) split_workers = std::atoi(v);
-      return true;
-    }
-    if (std::strcmp(flag, "--split-scope") == 0) {
-      const char* const v = value();
-      if (v == nullptr) return true;
-      if (std::strcmp(v, "pair") != 0 && std::strcmp(v, "node") != 0 &&
-          std::strcmp(v, "packed") != 0) {
-        ok_ = false;
-        return true;
-      }
-      split_scope = v;
-      return true;
-    }
-    return false;
+    jobs = std::atoi(argv[++i]);
+    return true;
   }
 
   bool ok() const { return ok_; }
-  const char* Usage() const {
-    return with_split_ ? "[--jobs N] [--split] [--split-workers N] "
-                         "[--split-scope pair|node|packed]"
-                       : "[--jobs N]";
-  }
+  const char* Usage() const { return "[--jobs N]"; }
   // Resolved sweep width: the explicit --jobs value or hardware concurrency.
   int Jobs() const { return jobs > 0 ? jobs : sim::HardwareJobs(); }
-  bool per_node_scope() const { return split_scope == "node"; }
-  bool packed_scope() const { return split_scope == "packed"; }
 
   int jobs = 0;  // 0 → hardware concurrency
-  bool split = false;
-  int split_workers = 1;
-  std::string split_scope = "pair";
 
  private:
-  bool with_split_ = false;
   bool ok_ = true;
 };
 
@@ -152,15 +112,10 @@ inline void ShapeCheck(bool ok, const char* claim) {
 // Version 1 is the original layout. Version 2 (sim_throughput) keeps the
 // same structure but adds aggregate/parallel rows whose wall metrics are
 // named *_wall; a schema bump marks the row-set change so stale baselines
-// are caught by inspection, not by silent drift. Version 3 (sim_throughput)
-// adds the split-scaling rows: the 16-node rack workload partitioned one
-// PDES domain per topology node, swept across worker counts (params gain a
-// "workers" key; deterministic scale_ops is gated, wall curves stay *_wall).
-// Version 4 (sim_throughput) adds the fabric-scaling rows: a 128-client
-// two-tier fabric swept across worker counts and split scopes (params gain
-// "scope"), plus the horizon A/B rows comparing per-edge against global-min
-// epoch horizons (deterministic fabric_ops / epochs / epochs_per_sim_ms are
-// gated, wall metrics stay *_wall informational).
+// are caught by inspection, not by silent drift. Versions 3 and 4 added
+// intra-run domain-split rows, since removed. Version 5 (sim_throughput)
+// drops them and adds one serial 128-client two-tier fabric row: gated
+// fabric_ops, plus setup and run wall time reported separately.
 class BenchJson {
  public:
   using Params = std::vector<std::pair<std::string, std::string>>;

@@ -6,21 +6,15 @@
 // would just wedge the run. Every decision the injector makes is counted,
 // and the attached links count every fault they actually execute, so a run
 // can assert the two sides agree exactly (no fault is silently
-// double-applied or lost).
-//
-// The filter runs where net::Link::Deliver runs: on the link's destination
-// domain. Serial runs share one seeded RNG across links (the golden-pinned
-// decision stream); split-domain runs give every link its own stream and
-// its own counters, so nothing in the filter path is shared between
-// domains.
+// double-applied or lost). All links share one seeded RNG stream, drawn in
+// delivery order.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "chaos/fault_plan.h"
-#include "common/check.h"
 #include "common/rng.h"
 #include "net/link.h"
 #include "sim/simulation.h"
@@ -30,32 +24,18 @@ namespace cowbird::chaos {
 class FaultInjector {
  public:
   FaultInjector(sim::Simulation& sim, FaultPlan plan, std::uint64_t seed)
-      : sim_(&sim),
-        plan_(std::move(plan)),
-        seed_(seed),
-        rng_(seed ^ 0xFA017EC7ull) {}
-
-  // Split-domain runs must call this (with true) before any Attach: filters
-  // on links with different destination domains run on different threads,
-  // so the serial mode's single shared stream would turn the draw order
-  // into an inter-domain race. Each link instead draws from a private
-  // stream derived from the seed and its attach index. Serial runs keep the
-  // shared stream, leaving the golden-pinned decision sequence untouched.
-  void set_split_streams(bool split) {
-    COWBIRD_CHECK(links_.empty());
-    split_streams_ = split;
-  }
+      : sim_(&sim), plan_(std::move(plan)), rng_(seed ^ 0xFA017EC7ull) {}
 
   // Installs this injector's fault filter on the link. The link must
-  // outlive the injector's use and have its destination wired (ConnectTo /
-  // SetDestination) first; one injector can drive many links.
+  // outlive the injector's use; one injector can drive many links.
   void Attach(net::Link& link);
 
   // Decisions made (what the plan asked for), summed over links...
-  std::uint64_t decided_dropped() const;
-  std::uint64_t decided_duplicated() const;  // sum of extra copies requested
-  std::uint64_t decided_reordered() const;
-  std::uint64_t decided_delayed() const;
+  std::uint64_t decided_dropped() const { return dropped_; }
+  // Sum of extra copies requested.
+  std::uint64_t decided_duplicated() const { return duplicated_; }
+  std::uint64_t decided_reordered() const { return reordered_; }
+  std::uint64_t decided_delayed() const { return delayed_; }
   std::uint64_t decided_total() const {
     return decided_dropped() + decided_duplicated() + decided_reordered() +
            decided_delayed();
@@ -65,27 +45,16 @@ class FaultInjector {
   bool CountersExact() const;
 
  private:
-  // Per-attached-link state: the filter's clock is the destination domain's
-  // (where Deliver runs), and decisions are counted link-locally so the
-  // accessors can sum them after the run without any cross-domain sharing.
-  struct LinkState {
-    net::Link* link = nullptr;
-    sim::Simulation* clock = nullptr;
-    std::unique_ptr<Rng> rng;  // null → the shared serial stream
-    std::uint64_t dropped = 0;
-    std::uint64_t duplicated = 0;
-    std::uint64_t reordered = 0;
-    std::uint64_t delayed = 0;
-  };
-
-  net::FaultAction Decide(LinkState& state, const net::Packet& packet);
+  net::FaultAction Decide(const net::Packet& packet);
 
   sim::Simulation* sim_;
   FaultPlan plan_;
-  std::uint64_t seed_ = 0;
   Rng rng_;
-  bool split_streams_ = false;
-  std::vector<std::unique_ptr<LinkState>> links_;
+  std::vector<net::Link*> links_;
+  std::uint64_t dropped_ = 0;
+  std::uint64_t duplicated_ = 0;
+  std::uint64_t reordered_ = 0;
+  std::uint64_t delayed_ = 0;
 };
 
 }  // namespace cowbird::chaos

@@ -17,14 +17,12 @@
 #include "core/cluster_pool.h"
 #include "core/migration.h"
 #include "net/switch.h"
-#include "net/topology.h"
 #include "offload/progress.h"
 #include "offload/registry.h"
 #include "p4/engine.h"
 #include "rdma/congestion.h"
 #include "rdma/device.h"
 #include "rdma/params.h"
-#include "sim/parallel.h"
 #include "sim/simulation.h"
 #include "sim/thread.h"
 #include "spot/agent.h"
@@ -71,74 +69,6 @@ constexpr std::uint64_t kBgLocalBase = 0xC000'0000;  // requester staging
 // topology, a client, the serving engine plus spot standbys behind an
 // InstanceRegistry, the fault injector, and the recorded history.
 struct ChaosHarness {
-  // Topology node ids, in BuildTopo insertion order.
-  static constexpr net::TopoNodeId kComputeNode = 0;
-  static constexpr net::TopoNodeId kSwitchNode = 1;
-  static constexpr net::TopoNodeId kMemoryNode = 2;
-  static constexpr net::TopoNodeId kSpotNode = 3;
-  static constexpr net::TopoNodeId kMemory2Node = 4;  // migration runs only
-
-  // The Section 7 testbed as a topology plan: compute, memory, and spot
-  // hosts on one switch. Serial collapses everything into domain 0; kPair
-  // reproduces the historical two-way cut (compute node vs the rest);
-  // kPerNode leaves every node in a domain of its own.
-  static net::Topology BuildTopo(const ChaosOptions& opt, Nanos propagation) {
-    net::Topology topo;
-    const net::TopoNodeId compute =
-        topo.AddNode(net::TopoNodeKind::kComputeHost, "compute", kComputeId);
-    const net::TopoNodeId tor =
-        topo.AddNode(net::TopoNodeKind::kSwitch, "switch");
-    const net::TopoNodeId memory =
-        topo.AddNode(net::TopoNodeKind::kMemoryServer, "memory", kMemoryId);
-    const net::TopoNodeId spot =
-        topo.AddNode(net::TopoNodeKind::kSpotHost, "spot", kSpotId);
-    topo.AddEdge(compute, tor, propagation);
-    topo.AddEdge(memory, tor, propagation);
-    topo.AddEdge(spot, tor, propagation);
-    // The second memory server exists only for migration runs, appended
-    // after the legacy nodes so their topology ids — and everything seeded
-    // off insertion order — stay exactly as pre-migration runs had them.
-    net::TopoNodeId memory2 = 0;
-    if (opt.plan.migrate) {
-      memory2 = topo.AddNode(net::TopoNodeKind::kMemoryServer, "memory2",
-                             kMemory2Id);
-      topo.AddEdge(memory2, tor, propagation);
-      COWBIRD_CHECK(memory2 == kMemory2Node);
-    }
-    if (opt.mode == ExecutionMode::kSerial) {
-      topo.GroupAll(0);
-    } else if (opt.split_scope == SplitScope::kPair) {
-      topo.SetGroup(tor, 1);
-      topo.SetGroup(memory, 1);
-      topo.SetGroup(spot, 1);
-      if (opt.plan.migrate) topo.SetGroup(memory2, 1);
-    } else if (opt.split_scope == SplitScope::kPacked) {
-      // The packed datapath on the small testbed: a static kind-weight rate
-      // vector (the switch forwards every packet, so it is the hottest node;
-      // hosts in between; the mostly-idle spot lightest) packed down to two
-      // domains. No profiling pre-run here — chaos pins outcomes, not
-      // placement quality, and a fixed vector keeps the sweep cheap and the
-      // packing trivially reproducible.
-      std::vector<std::uint64_t> rates(
-          static_cast<std::size_t>(topo.node_count()));
-      for (net::TopoNodeId n = 0; n < topo.node_count(); ++n) {
-        switch (topo.node(n).kind) {
-          case net::TopoNodeKind::kSwitch:
-            rates[static_cast<std::size_t>(n)] = 6;
-            break;
-          case net::TopoNodeKind::kSpotHost:
-            rates[static_cast<std::size_t>(n)] = 2;
-            break;
-          default:
-            rates[static_cast<std::size_t>(n)] = 3;
-            break;
-        }
-      }
-      net::PackDomains(topo, rates, 2);
-    }
-    return topo;
-  }
-
   // Congestion scenarios tighten the fabric; kNone leaves every knob at
   // its default so pre-congestion runs stay byte-identical.
   static net::Switch::Config MakeSwitchConfig(
@@ -174,41 +104,28 @@ struct ChaosHarness {
   ChaosHarness(const ChaosOptions& opt, telemetry::Hub* hub)
       : options(opt),
         nic_config(MakeNicConfig(opt)),
-        topo(BuildTopo(opt, fabric_params.link_propagation)),
-        partition(net::PartitionTopology(topo)),
-        domains(sim, partition, opt.split_workers),
-        esim(domains.sim_for(kSwitchNode)),
-        msim(domains.sim_for(kMemoryNode)),
-        ssim(domains.sim_for(kSpotNode)),
-        group(domains.group()),
-        sw(esim, MakeSwitchConfig(opt, fabric_params)),
+        sw(sim, MakeSwitchConfig(opt, fabric_params)),
         compute_nic(sim, kComputeId, fabric_params.host_link,
                     fabric_params.link_propagation),
-        memory_nic(msim, kMemoryId, fabric_params.host_link,
+        memory_nic(sim, kMemoryId, fabric_params.host_link,
                    fabric_params.link_propagation),
-        spot_nic(ssim, kSpotId, fabric_params.host_link,
+        spot_nic(sim, kSpotId, fabric_params.host_link,
                  fabric_params.link_propagation),
         compute_dev(compute_nic, compute_mem, nic_config),
         memory_dev(memory_nic, memory_mem, nic_config),
         spot_dev(spot_nic, spot_mem, nic_config),
         compute_machine(sim, 16),
-        machine_a(ssim, 1),
-        machine_b(ssim, 1),
+        machine_a(sim, 1),
+        machine_b(sim, 1),
         injector(sim, opt.plan, opt.seed) {
-    // FabricDomains registered every domain before ConnectTo wires the
-    // cross-domain links (SetDestination reads domain ids to record the
-    // per-cut lookahead).
-    COWBIRD_CHECK(!partition.zero_lookahead_error().has_value());
-    if (group != nullptr) group->set_horizon_policy(opt.horizon_policy);
-    compute_nic.ConnectTo(sw, "compute");
-    memory_nic.ConnectTo(sw, "memory");
-    spot_nic.ConnectTo(sw, "spot");
+    compute_nic.ConnectTo(sw);
+    memory_nic.ConnectTo(sw);
+    spot_nic.ConnectTo(sw);
     if (opt.plan.migrate) {
-      memory2_nic.emplace(domains.sim_for(kMemory2Node), kMemory2Id,
-                          fabric_params.host_link,
+      memory2_nic.emplace(sim, kMemory2Id, fabric_params.host_link,
                           fabric_params.link_propagation);
       memory2_dev.emplace(*memory2_nic, memory2_mem, nic_config);
-      memory2_nic->ConnectTo(sw, "memory2");
+      memory2_nic->ConnectTo(sw);
       // The elastic pool owns the slabs (it registers the MRs itself);
       // legacy runs keep the historical single RegisterMemory call so the
       // rkey sequence — and thus every golden-pinned byte — is untouched.
@@ -218,60 +135,27 @@ struct ChaosHarness {
       pool_mr = memory_dev.RegisterMemory(kPoolBase, MiB(64));
     }
 
-    // Telemetry shards per PDES domain: shard 0 is the caller's hub, the
-    // engine-side domains get private hubs that are merged into the
-    // caller's snapshot after the run.
-    shards.Reset(hub, partition.domain_count(), [this](int d) {
-      sim::Simulation& dsim = domains.domain_sim(d);
-      return telemetry::Clock([&dsim] { return dsim.Now(); });
-    });
-
     if (hub != nullptr) {
       hub->tracer.SetClock([this] { return sim.Now(); });
-      const struct {
-        const char* name;
-        net::Link* link;
-        int domain;  // the domain whose thread delivers on this link
-      } fabric[] = {
-          {"sw_to_compute", &sw.EgressLink(compute_nic.switch_port()),
-           partition.domain_of(kComputeNode)},
-          {"sw_to_memory", &sw.EgressLink(memory_nic.switch_port()),
-           partition.domain_of(kMemoryNode)},
-          {"sw_to_spot", &sw.EgressLink(spot_nic.switch_port()),
-           partition.domain_of(kSpotNode)},
-          {"compute_uplink", &compute_nic.uplink(),
-           partition.domain_of(kSwitchNode)},
-          {"memory_uplink", &memory_nic.uplink(),
-           partition.domain_of(kSwitchNode)},
-          {"spot_uplink", &spot_nic.uplink(),
-           partition.domain_of(kSwitchNode)},
+      std::vector<std::pair<const char*, net::Link*>> fabric = {
+          {"sw_to_compute", &sw.EgressLink(compute_nic.switch_port())},
+          {"sw_to_memory", &sw.EgressLink(memory_nic.switch_port())},
+          {"sw_to_spot", &sw.EgressLink(spot_nic.switch_port())},
+          {"compute_uplink", &compute_nic.uplink()},
+          {"memory_uplink", &memory_nic.uplink()},
+          {"spot_uplink", &spot_nic.uplink()},
       };
-      for (const auto& f : fabric) {
-        f.link->BindTelemetry(shards.ForDomain(f.domain)->metrics,
-                              {{"link", f.name}});
-        bound_links.push_back(f.link);
+      if (memory2_nic.has_value()) {
+        fabric.push_back(
+            {"sw_to_memory2", &sw.EgressLink(memory2_nic->switch_port())});
+        fabric.push_back({"memory2_uplink", &memory2_nic->uplink()});
+      }
+      for (const auto& [name, link] : fabric) {
+        link->BindTelemetry(hub->metrics, {{"link", name}});
+        bound_links.push_back(link);
       }
       if (memory2_nic.has_value()) {
-        const std::pair<const char*, net::Link*> extra[] = {
-            {"sw_to_memory2", &sw.EgressLink(memory2_nic->switch_port())},
-            {"memory2_uplink", &memory2_nic->uplink()},
-        };
-        const int extra_domain[] = {partition.domain_of(kMemory2Node),
-                                    partition.domain_of(kSwitchNode)};
-        for (int i = 0; i < 2; ++i) {
-          extra[i].second->BindTelemetry(
-              shards.ForDomain(extra_domain[i])->metrics,
-              {{"link", extra[i].first}});
-          bound_links.push_back(extra[i].second);
-        }
         pool.BindTelemetry(hub->metrics, telemetry::Labels{});
-      }
-      if (group != nullptr) {
-        for (int d = 0; d < partition.domain_count(); ++d) {
-          group->SetDomainStartHook(d, [this, d] {
-            shards.ForDomain(d)->metrics.BindToCurrentThread();
-          });
-        }
       }
     }
 
@@ -298,16 +182,14 @@ struct ChaosHarness {
                                               pool_mr->rkey, MiB(64)});
     }
 
-    telemetry::Hub* const spot_hub =
-        shards.ForDomain(partition.domain_of(kSpotNode));
     spot::SpotAgent::Config config_a;
     config_a.staging_base = 0x4000'0000;
     config_a.chaos_unsafe_skip_hazards = opt.break_fence;
-    config_a.telemetry = spot_hub;
+    config_a.telemetry = hub;
     spot::SpotAgent::Config config_b;
     config_b.staging_base = 0x8000'0000;
     config_b.chaos_unsafe_skip_hazards = opt.break_fence;
-    config_b.telemetry = spot_hub;
+    config_b.telemetry = hub;
     agent_a = std::make_unique<spot::SpotAgent>(spot_dev, machine_a, config_a);
     agent_b = std::make_unique<spot::SpotAgent>(spot_dev, machine_b, config_b);
     agent_a->Start();
@@ -317,7 +199,7 @@ struct ChaosHarness {
       p4::CowbirdP4Engine::Config ec;
       ec.switch_node_id = kSwitchId;
       ec.chaos_unsafe_skip_hazards = opt.break_fence;
-      ec.telemetry = shards.ForDomain(partition.domain_of(kSwitchNode));
+      ec.telemetry = hub;
       p4_engine = std::make_unique<p4::CowbirdP4Engine>(sw, ec);
       p4_engine->Start();
       serving = registry.AddEngine(P4Binding());
@@ -331,15 +213,13 @@ struct ChaosHarness {
     COWBIRD_CHECK(placed == serving);
 
     if (opt.plan.AnyPacketFaults()) {
-      injector.set_split_streams(group != nullptr);
       injector.Attach(sw.EgressLink(compute_nic.switch_port()));
       injector.Attach(sw.EgressLink(memory_nic.switch_port()));
       injector.Attach(sw.EgressLink(spot_nic.switch_port()));
       injector.Attach(compute_nic.uplink());
       injector.Attach(memory_nic.uplink());
       injector.Attach(spot_nic.uplink());
-      // Migration-only links attach last so the legacy links keep their
-      // historical per-link fault streams.
+      // Migration-only links attach last, after the legacy links.
       if (memory2_nic.has_value()) {
         injector.Attach(sw.EgressLink(memory2_nic->switch_port()));
         injector.Attach(memory2_nic->uplink());
@@ -352,41 +232,29 @@ struct ChaosHarness {
     if (opt.plan.congestion == CongestionScenario::kPauseStorm) {
       // A storm of pause frames "received" at the switch egress: every
       // 200us between 1ms and 6ms, the links toward the memory and compute
-      // hosts pause their data classes for 50us. Egress-link transmit state
-      // lives in the switch domain, so the events schedule on esim and the
-      // storm is identical under any split.
+      // hosts pause their data classes for 50us.
       for (Nanos when = Millis(1); when < Millis(6); when += Micros(200)) {
-        esim.ScheduleAt(when, [this] {
+        sim.ScheduleAt(when, [this] {
           sw.EgressLink(memory_nic.switch_port()).PauseData(Micros(50));
           sw.EgressLink(compute_nic.switch_port()).PauseData(Micros(50));
         });
       }
     }
     for (const Nanos when : opt.plan.crashes) {
-      if (group != nullptr) {
-        // Crash + migration spans both domains (registry, both NIC sides,
-        // the published red block); it runs between epochs with every
-        // domain quiescent and advanced to `when`.
-        group->ScheduleGlobal(when, [this] { CrashServingEngine(); });
-      } else {
-        sim.ScheduleAt(when, [this] { CrashServingEngine(); });
-      }
+      sim.ScheduleAt(when, [this] { CrashServingEngine(); });
     }
     if (opt.plan.migrate) {
       // The copy stream's QP: source-device side `a` writes into memory2's
       // slab, congestion-controlled against the foreground traffic.
       migrate_qp = rdma::ConnectQueuePairs(memory_dev, *memory2_dev);
-      // Every coordinator tick is pre-scheduled up front: rescheduling a
-      // global event from inside one is undefined under conservative PDES,
-      // and a fixed tick train is bit-identical for any worker count. Ticks
-      // on a finished migration are cheap no-ops.
+      // Every coordinator tick is pre-scheduled up front: a
+      // self-rescheduling tick would draw its event sequence numbers at
+      // different points and could move a same-time tie-break, and the
+      // chaos parity goldens pin this exact schedule. Ticks on a finished
+      // migration are cheap no-ops.
       for (Nanos when = opt.plan.migrate_start; when < kDrainDeadline;
            when += kMigrateTick) {
-        if (group != nullptr) {
-          group->ScheduleGlobal(when, [this] { MigrationTick(); });
-        } else {
-          sim.ScheduleAt(when, [this] { MigrationTick(); });
-        }
+        sim.ScheduleAt(when, [this] { MigrationTick(); });
       }
     }
     telemetry_hub = hub;
@@ -492,12 +360,9 @@ struct ChaosHarness {
     return binding;
   }
 
-  // One bystander flow: a closed-loop 4 KiB stream on its own QP pair,
-  // pumped from the requester's domain sim so splits see identical event
-  // orderings.
+  // One bystander flow: a closed-loop 4 KiB stream on its own QP pair.
   struct BgFlow {
     rdma::QpPair pair;
-    sim::Simulation* psim = nullptr;
     bool write = false;
     std::uint64_t laddr = 0;
     std::uint64_t raddr = 0;
@@ -521,10 +386,10 @@ struct ChaosHarness {
       spot_mem.PreFault(kBgMemBase, kBgSpan);
       compute_mem.PreFault(kBgLocalBase, 2 * kBgSpan);
       bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, memory_dev),
-                                &sim, /*write=*/false, kBgLocalBase,
-                                mem_mr->base, mem_mr->rkey});
+                                /*write=*/false, kBgLocalBase, mem_mr->base,
+                                mem_mr->rkey});
       bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, spot_dev),
-                                &sim, /*write=*/false, kBgLocalBase + kBgSpan,
+                                /*write=*/false, kBgLocalBase + kBgSpan,
                                 spot_mr->base, spot_mr->rkey});
     } else {
       const auto* mem_mr = memory_dev.RegisterMemory(kBgMemBase, kBgSpan);
@@ -532,14 +397,14 @@ struct ChaosHarness {
       compute_mem.PreFault(kBgLocalBase, kBgSpan);
       spot_mem.PreFault(kBgLocalBase, kBgSpan);
       bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, memory_dev),
-                                &sim, /*write=*/true, kBgLocalBase,
-                                mem_mr->base, mem_mr->rkey});
+                                /*write=*/true, kBgLocalBase, mem_mr->base,
+                                mem_mr->rkey});
       bg_flows.push_back(BgFlow{ConnectQueuePairs(spot_dev, memory_dev),
-                                &ssim, /*write=*/true, kBgLocalBase,
-                                mem_mr->base, mem_mr->rkey});
+                                /*write=*/true, kBgLocalBase, mem_mr->base,
+                                mem_mr->rkey});
     }
     for (BgFlow& f : bg_flows) {
-      f.psim->ScheduleAt(kBgStart, [this, &f] {
+      sim.ScheduleAt(kBgStart, [this, &f] {
         for (int i = 0; i < kBgWindow; ++i) PostBg(f);
         PumpBg(f);
       });
@@ -556,14 +421,11 @@ struct ChaosHarness {
 
   void PumpBg(BgFlow& f) {
     while (f.pair.a_send_cq->Pop()) PostBg(f);
-    f.psim->ScheduleAfter(500, [this, &f] { PumpBg(f); });
+    sim.ScheduleAfter(500, [this, &f] { PumpBg(f); });
   }
 
   // One step of the copy-then-cutover state machine (core/migration.h),
-  // driven by the pre-scheduled tick train. Runs as a global event under
-  // PDES splits because the cutover — registry handoff, translation flip,
-  // client range republish, re-attach — spans every domain; like the crash
-  // path it executes with all domains quiescent at the tick time.
+  // driven by the pre-scheduled tick train.
   void MigrationTick() {
     switch (migration_stage) {
       case MigrationStage::kArmed: {
@@ -643,18 +505,6 @@ struct ChaosHarness {
   sim::Simulation sim;
   rdma::FabricParams fabric_params;
   rdma::NicConfig nic_config;
-  // Split mode partitions the testbed topology per ChaosOptions::split_scope:
-  // the compute NIC, client and app threads stay in `sim` (domain 0) while
-  // the switch and the memory/spot nodes run in the domains the partitioner
-  // assigns them. esim/msim/ssim all alias `sim` when serial (group null)
-  // and one shared engine domain under kPair; kPerNode gives each its own.
-  net::Topology topo;
-  net::Partition partition;
-  net::FabricDomains domains;
-  sim::Simulation& esim;  // switch domain
-  sim::Simulation& msim;  // memory-server domain
-  sim::Simulation& ssim;  // spot-host domain
-  sim::DomainGroup* group = nullptr;  // null when serial
   net::Switch sw;
   net::HostNic compute_nic;
   net::HostNic memory_nic;
@@ -666,8 +516,8 @@ struct ChaosHarness {
   rdma::Device memory_dev;
   rdma::Device spot_dev;
   // Migration runs only: the second memory server (engaged after the
-  // legacy members so everything they consume — node ids, switch ports,
-  // rkeys — is untouched when absent).
+  // legacy members so everything they consume — switch ports, rkeys — is
+  // untouched when absent).
   SparseMemory memory2_mem;
   std::optional<net::HostNic> memory2_nic;
   std::optional<rdma::Device> memory2_dev;
@@ -675,10 +525,6 @@ struct ChaosHarness {
   sim::Machine machine_a;
   sim::Machine machine_b;
   const rdma::MemoryRegion* pool_mr = nullptr;
-  // Declared before the client and engines: their destructors unregister
-  // callback gauges against the per-domain shard hubs, so the shards must
-  // outlive them.
-  telemetry::HubShards shards;
   std::unique_ptr<CowbirdClient> client;
   std::unique_ptr<spot::SpotAgent> agent_a;
   std::unique_ptr<spot::SpotAgent> agent_b;
@@ -901,7 +747,7 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
   for (int t = 0; t < options.workload.threads; ++t) {
     harness.sim.Spawn(WorkloadThread(harness, t));
   }
-  harness.domains.Run();
+  harness.sim.Run();
 
   ChaosResult result;
   result.history = harness.recorder.ops();
@@ -946,7 +792,6 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
   }
   if (hub != nullptr) {
     result.telemetry = hub->metrics.TakeSnapshot();
-    harness.shards.MergeInto(result.telemetry);
   }
   return result;
 }

@@ -22,7 +22,6 @@
 
 #include "chaos/fault_plan.h"
 #include "chaos/history.h"
-#include "sim/parallel.h"
 #include "telemetry/hub.h"
 
 namespace cowbird::chaos {
@@ -44,25 +43,6 @@ struct WorkloadParams {
   static std::optional<WorkloadParams> Parse(std::string_view line);
 };
 
-// How RunChaos executes the run's simulation. kSerial is the single-loop
-// golden-pinned path; kSplit partitions the testbed topology into PDES
-// domains driven by a sim::DomainGroup. The mode is a property of this
-// process's execution, not of the recorded scenario: it is never serialized
-// into failure traces, and replay always runs serial.
-enum class ExecutionMode { kSerial, kSplit };
-
-// kSplit only: which partition the topology-driven partitioner derives.
-// kPair is the historical two-way cut (compute node in one domain, switch +
-// memory/spot machines in the other); kPerNode gives every topology node —
-// compute, switch, memory, spot — a domain of its own, the N-way partition
-// the rack-scale fabrics use. kPacked runs the per-node domains through
-// net::PackDomains under a fixed budget of 2, with a static kind-weight
-// rate vector (the switch heaviest) standing in for profiled event rates —
-// exercising the packed-partition datapath on every chaos scenario. All
-// three scopes are outcome-equivalent: the scope is never serialized into
-// failure traces, and replay always runs serial.
-enum class SplitScope { kPair, kPerNode, kPacked };
-
 struct ChaosOptions {
   EngineKind engine = EngineKind::kSpot;
   std::uint64_t seed = 1;
@@ -71,16 +51,6 @@ struct ChaosOptions {
   bool break_fence = false;
   WorkloadParams workload;
   FaultPlan plan;
-  ExecutionMode mode = ExecutionMode::kSerial;
-  SplitScope split_scope = SplitScope::kPair;
-  // kSplit only: worker threads for the domain group (0 → hardware
-  // concurrency). Split runs are bit-deterministic for any worker count.
-  int split_workers = 1;
-  // kSplit only: the epoch-horizon policy. Outcomes are policy-invariant
-  // (the banded cross-event keys make delivery order a pure function of
-  // published state); kGlobalMin stays selectable so tests can pin that
-  // equivalence on full chaos runs.
-  sim::HorizonPolicy horizon_policy = sim::HorizonPolicy::kPerEdge;
 };
 
 struct ChaosResult {

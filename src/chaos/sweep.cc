@@ -63,11 +63,6 @@ SweepOutcome RunSweep(const SweepConfig& config) {
                                     config.break_fence);
     opt.plan.congestion = config.congestion;
     opt.plan.migrate = config.migrate;
-    if (config.split) {
-      opt.mode = ExecutionMode::kSplit;
-      opt.split_scope = config.split_scope;
-      opt.split_workers = config.split_workers;
-    }
     records[index].opt = opt;
     records[index].result = RunChaos(opt);
   });
@@ -100,7 +95,6 @@ SweepOutcome RunSweep(const SweepConfig& config) {
       ++out.caught;
       if (out.caught == 1) {
         // Prove the capture→replay loop on the first caught violation.
-        // Replay always re-runs serial (the mode is not part of the trace).
         const std::string path =
             DumpTrace(config.trace_dir, rec.opt, rec.result, out.report);
         const auto loaded =

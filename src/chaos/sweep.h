@@ -29,16 +29,6 @@ struct SweepConfig {
   // Concurrent runs (0 → hardware concurrency). Parallelism only changes
   // wall-clock time, never the report.
   int jobs = 0;
-  // Run every simulation domain-split (ExecutionMode::kSplit) instead of
-  // serial. Split runs exercise the same scenarios through the parallel
-  // datapath; the golden-pinned byte-exact outcomes belong to serial mode.
-  bool split = false;
-  // Partition shape when split: the historical two-domain cut or one
-  // domain per topology node (SplitScope::kPerNode) or the packed
-  // two-domain partition (SplitScope::kPacked). Every scope produces the
-  // same report bytes.
-  SplitScope split_scope = SplitScope::kPair;
-  int split_workers = 1;  // per-run workers when split (0 → hardware)
   // Layers a shared-fabric congestion scenario onto every seed's fault
   // plan. kNone leaves the plans untouched, so the report stays byte-
   // identical to a pre-congestion sweep.

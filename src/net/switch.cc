@@ -32,8 +32,7 @@ int Switch::RouteFor(NodeId node) const {
   return default_route_;
 }
 
-TrunkPorts ConnectTrunk(Switch& a, Switch& b, BitRate rate, Nanos propagation,
-                        const std::string& a_name, const std::string& b_name) {
+TrunkPorts ConnectTrunk(Switch& a, Switch& b, BitRate rate, Nanos propagation) {
   TrunkPorts trunk;
   trunk.a_port = a.AddPort(rate, propagation);
   trunk.b_port = b.AddPort(rate, propagation);
@@ -43,15 +42,6 @@ TrunkPorts ConnectTrunk(Switch& a, Switch& b, BitRate rate, Nanos propagation,
   b.EgressLink(trunk.b_port).set_receiver([&a, port = trunk.a_port](Packet p) {
     a.OnIngress(port, std::move(p));
   });
-  a.EgressLink(trunk.a_port)
-      .SetNames("trunk[" + a_name + "->" + b_name + "]", a_name, b_name);
-  b.EgressLink(trunk.b_port)
-      .SetNames("trunk[" + b_name + "->" + a_name + "]", b_name, a_name);
-  // Same as the host attachment: deliveries run on the receiving switch's
-  // event loop, and these calls register the cut when the switches are in
-  // different PDES domains.
-  a.EgressLink(trunk.a_port).SetDestination(b.simulation());
-  b.EgressLink(trunk.b_port).SetDestination(a.simulation());
   return trunk;
 }
 

@@ -177,15 +177,12 @@ class Switch {
 
 // Switch-to-switch attachment: one port on each side, the egress links
 // cross-wired into the peer's ingress — the full-duplex trunk a leaf (group
-// ToR) hangs off the core with. Mirrors HostNic::ConnectTo, including the
-// SetDestination calls that turn the trunk into a PDES domain cut when the
-// two switches live in different domains.
+// ToR) hangs off the core with. Mirrors HostNic::ConnectTo.
 struct TrunkPorts {
   int a_port = -1;  // port on `a` facing `b`
   int b_port = -1;  // port on `b` facing `a`
 };
-TrunkPorts ConnectTrunk(Switch& a, Switch& b, BitRate rate, Nanos propagation,
-                        const std::string& a_name, const std::string& b_name);
+TrunkPorts ConnectTrunk(Switch& a, Switch& b, BitRate rate, Nanos propagation);
 
 // Star topology host endpoint: one full-duplex attachment to the switch,
 // with per-UDP-port receiver demultiplexing (RoCE traffic and benchmark
@@ -199,8 +196,7 @@ class HostNic {
 
   NodeId id() const { return id_; }
 
-  void ConnectTo(Switch& sw, const std::string& host_name = {},
-                 const std::string& switch_name = "switch") {
+  void ConnectTo(Switch& sw) {
     switch_port_ = sw.AddPort(uplink_->rate(), uplink_->propagation());
     sw.SetRoute(id_, switch_port_);
     uplink_->set_receiver([&sw, port = switch_port_](Packet p) {
@@ -209,16 +205,6 @@ class HostNic {
     sw.EgressLink(switch_port_).set_receiver([this](Packet p) {
       Dispatch(std::move(p));
     });
-    const std::string host =
-        host_name.empty() ? "node" + std::to_string(id_) : host_name;
-    uplink_->SetNames("uplink[" + host + "]", host, switch_name);
-    sw.EgressLink(switch_port_)
-        .SetNames("egress[" + host + "]", switch_name, host);
-    // Deliveries run on the receiving endpoint's event loop; when the host
-    // and the switch live in different DomainGroup domains these two calls
-    // turn the attachment into the domain cut (no-ops otherwise).
-    uplink_->SetDestination(sw.simulation());
-    sw.EgressLink(switch_port_).SetDestination(*sim_);
   }
 
   void Send(Packet packet) { uplink_->Send(packet); }

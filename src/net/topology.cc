@@ -1,7 +1,5 @@
 #include "net/topology.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "common/check.h"
@@ -26,7 +24,7 @@ const char* TopoNodeKindName(TopoNodeKind kind) {
 
 TopoNodeId Topology::AddNode(TopoNodeKind kind, std::string name,
                              NodeId address) {
-  nodes_.push_back(Node{kind, std::move(name), address, -1});
+  nodes_.push_back(Node{kind, std::move(name), address});
   return static_cast<TopoNodeId>(nodes_.size() - 1);
 }
 
@@ -40,251 +38,6 @@ int Topology::AddEdge(TopoNodeId a, TopoNodeId b, Nanos propagation,
   }
   edges_.push_back(Edge{a, b, propagation, std::move(name)});
   return static_cast<int>(edges_.size() - 1);
-}
-
-void Topology::SetGroup(TopoNodeId node, int group) {
-  nodes_[static_cast<std::size_t>(node)].group = group;
-}
-
-void Topology::GroupAll(int group) {
-  for (Node& node : nodes_) node.group = group;
-}
-
-Partition PartitionTopology(const Topology& topo) {
-  Partition partition;
-  partition.domain_of_.assign(static_cast<std::size_t>(topo.node_count()), -1);
-
-  // Domain ids by first appearance in node order. Ungrouped nodes (-1) are
-  // singletons; equal non-negative tags fuse.
-  std::vector<std::pair<int, int>> tag_to_domain;  // (group tag, domain)
-  for (TopoNodeId n = 0; n < topo.node_count(); ++n) {
-    const int tag = topo.node(n).group;
-    int domain = -1;
-    if (tag >= 0) {
-      for (const auto& [known_tag, known_domain] : tag_to_domain) {
-        if (known_tag == tag) {
-          domain = known_domain;
-          break;
-        }
-      }
-    }
-    if (domain < 0) {
-      domain = partition.domain_count_++;
-      if (tag >= 0) tag_to_domain.emplace_back(tag, domain);
-    }
-    partition.domain_of_[static_cast<std::size_t>(n)] = domain;
-  }
-
-  // Cut edges in edge order, a → b before b → a; the per-edge lookahead is
-  // the edge's own propagation delay. Intra-domain edges place no bound on
-  // the epoch horizon and are skipped entirely.
-  for (int e = 0; e < topo.edge_count(); ++e) {
-    const Topology::Edge& edge = topo.edge(e);
-    const int da = partition.domain_of(edge.a);
-    const int db = partition.domain_of(edge.b);
-    if (da == db) continue;
-    partition.cut_edges_.push_back(CutEdgeInfo{e, da, db, edge.propagation});
-    partition.cut_edges_.push_back(CutEdgeInfo{e, db, da, edge.propagation});
-    partition.lookahead_ = std::min(partition.lookahead_, edge.propagation);
-    if (edge.propagation <= 0 && !partition.zero_lookahead_error_) {
-      char buffer[512];
-      std::snprintf(buffer, sizeof(buffer),
-                    "zero-lookahead cut: edge '%s' between '%s' (domain %d) "
-                    "and '%s' (domain %d) has propagation %lld ns; every cut "
-                    "edge needs a positive propagation delay, or both "
-                    "endpoints must share a partition group",
-                    edge.name.c_str(), topo.node(edge.a).name.c_str(), da,
-                    topo.node(edge.b).name.c_str(), db,
-                    static_cast<long long>(edge.propagation));
-      partition.zero_lookahead_error_ = buffer;
-    }
-  }
-  return partition;
-}
-
-namespace {
-
-// Union-find root with path halving. Deterministic: parents only ever move
-// toward lower-indexed roots (Merge below keeps the smaller root).
-int FindRoot(std::vector<int>& parent, int x) {
-  while (parent[static_cast<std::size_t>(x)] != x) {
-    parent[static_cast<std::size_t>(x)] =
-        parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-    x = parent[static_cast<std::size_t>(x)];
-  }
-  return x;
-}
-
-}  // namespace
-
-int PackDomains(Topology& topo, const std::vector<std::uint64_t>& rates,
-                int budget) {
-  const int n = topo.node_count();
-  COWBIRD_CHECK(static_cast<int>(rates.size()) == n);
-  if (budget <= 0 || budget >= n) {
-    // Singleton fallback: the classic one-domain-per-node split.
-    for (TopoNodeId node = 0; node < n; ++node) topo.SetGroup(node, node);
-    return n;
-  }
-
-  std::vector<int> parent(static_cast<std::size_t>(n));
-  std::vector<std::uint64_t> weight(rates);
-  for (int i = 0; i < n; ++i) parent[static_cast<std::size_t>(i)] = i;
-  int components = n;
-  auto merge = [&](int ra, int rb) {
-    // Smaller root index wins so group numbering follows node order.
-    const int keep = std::min(ra, rb);
-    const int gone = std::max(ra, rb);
-    parent[static_cast<std::size_t>(gone)] = keep;
-    weight[static_cast<std::size_t>(keep)] +=
-        weight[static_cast<std::size_t>(gone)];
-    --components;
-  };
-
-  std::uint64_t total = 0;
-  std::uint64_t max_rate = 0;
-  for (const std::uint64_t r : rates) {
-    total += r;
-    max_rate = std::max(max_rate, r);
-  }
-  // Balance cap: no packed domain should carry more than ~2x its fair share
-  // of the event rate; a single node hotter than that is unsplittable and
-  // sets the cap itself.
-  const std::uint64_t cap = std::max(
-      max_rate, (2 * total + static_cast<std::uint64_t>(budget) - 1) /
-                    static_cast<std::uint64_t>(budget));
-
-  // Phase 1 — heavy-edge contraction: fuse the chattiest attachments first,
-  // so the cross-domain mailbox traffic left behind is the light edges.
-  std::vector<int> edges(static_cast<std::size_t>(topo.edge_count()));
-  for (int e = 0; e < topo.edge_count(); ++e) {
-    edges[static_cast<std::size_t>(e)] = e;
-  }
-  auto edge_weight = [&](int e) {
-    const Topology::Edge& edge = topo.edge(e);
-    return rates[static_cast<std::size_t>(edge.a)] +
-           rates[static_cast<std::size_t>(edge.b)];
-  };
-  std::sort(edges.begin(), edges.end(), [&](int lhs, int rhs) {
-    const std::uint64_t wl = edge_weight(lhs);
-    const std::uint64_t wr = edge_weight(rhs);
-    if (wl != wr) return wl > wr;
-    return lhs < rhs;
-  });
-  for (const int e : edges) {
-    if (components <= budget) break;
-    const int ra = FindRoot(parent, topo.edge(e).a);
-    const int rb = FindRoot(parent, topo.edge(e).b);
-    if (ra == rb) continue;
-    if (weight[static_cast<std::size_t>(ra)] +
-            weight[static_cast<std::size_t>(rb)] >
-        cap) {
-      continue;
-    }
-    merge(ra, rb);
-  }
-
-  // Phase 2 — remainder fold: adjacency and the cap both yield to the hard
-  // budget; repeatedly fuse the two lightest components.
-  while (components > budget) {
-    int lightest = -1, second = -1;
-    for (int i = 0; i < n; ++i) {
-      if (FindRoot(parent, i) != i) continue;
-      auto lighter = [&](int a, int b) {
-        if (b < 0) return true;
-        if (weight[static_cast<std::size_t>(a)] !=
-            weight[static_cast<std::size_t>(b)]) {
-          return weight[static_cast<std::size_t>(a)] <
-                 weight[static_cast<std::size_t>(b)];
-        }
-        return a < b;  // roots are minimum node ids: the id tie-break
-      };
-      if (lighter(i, lightest)) {
-        second = lightest;
-        lightest = i;
-      } else if (lighter(i, second)) {
-        second = i;
-      }
-    }
-    merge(lightest, second);
-  }
-
-  // Number groups by first appearance in node order (matching the domain
-  // numbering PartitionTopology will derive).
-  std::vector<int> group_of_root(static_cast<std::size_t>(n), -1);
-  int groups = 0;
-  for (TopoNodeId node = 0; node < n; ++node) {
-    const int root = FindRoot(parent, node);
-    int& g = group_of_root[static_cast<std::size_t>(root)];
-    if (g < 0) g = groups++;
-    topo.SetGroup(node, g);
-  }
-  COWBIRD_CHECK(groups == budget);
-  return groups;
-}
-
-std::string Partition::Describe(const Topology& topo) const {
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line), "partition: %d domains, %zu cut edges\n",
-                domain_count_, cut_edges_.size());
-  out += line;
-  for (TopoNodeId n = 0; n < topo.node_count(); ++n) {
-    std::snprintf(line, sizeof(line), "  node %d '%s' (%s) -> domain %d\n", n,
-                  topo.node(n).name.c_str(),
-                  TopoNodeKindName(topo.node(n).kind), domain_of(n));
-    out += line;
-  }
-  for (const CutEdgeInfo& cut : cut_edges_) {
-    std::snprintf(line, sizeof(line),
-                  "  cut '%s' domain %d -> %d, lookahead %lld ns\n",
-                  topo.edge(cut.edge).name.c_str(), cut.src_domain,
-                  cut.dst_domain, static_cast<long long>(cut.lookahead));
-    out += line;
-  }
-  if (lookahead_ != sim::kNoEventTime) {
-    std::snprintf(line, sizeof(line), "  epoch horizon: %lld ns\n",
-                  static_cast<long long>(lookahead_));
-    out += line;
-  }
-  return out;
-}
-
-FabricDomains::FabricDomains(sim::Simulation& root, const Partition& partition,
-                             int workers)
-    : root_(&root), partition_(&partition) {
-  if (partition.domain_count() <= 1) return;
-  group_ = std::make_unique<sim::DomainGroup>(workers);
-  group_->AddDomain(root);
-  owned_.reserve(static_cast<std::size_t>(partition.domain_count() - 1));
-  for (int d = 1; d < partition.domain_count(); ++d) {
-    owned_.push_back(std::make_unique<sim::Simulation>());
-    group_->AddDomain(*owned_.back());
-  }
-}
-
-void FabricDomains::Run() {
-  if (group_) {
-    group_->Run();
-  } else {
-    root_->Run();
-  }
-}
-
-void FabricDomains::RunFor(Nanos duration) {
-  if (group_) {
-    group_->RunFor(duration);
-  } else {
-    root_->RunFor(duration);
-  }
-}
-
-Nanos FabricDomains::Now() const {
-  return group_ ? group_->Now() : root_->Now();
-}
-
-std::uint64_t FabricDomains::EventsProcessed() const {
-  return group_ ? group_->EventsProcessed() : root_->EventsProcessed();
 }
 
 }  // namespace cowbird::net

@@ -1,36 +1,18 @@
-// The simulated fabric as an explicit graph, and the partitioner that turns
-// it into PDES domains.
+// The simulated fabric as an explicit graph.
 //
 // A Topology is a declarative plan built before any Simulation object
-// exists: nodes are the things that own an event loop (compute hosts,
+// exists: nodes are the things attached to the fabric (compute hosts,
 // memory servers, spot hosts, switches), edges are the full-duplex
 // net::Link attachments between them, each carrying its propagation delay.
-// PartitionTopology() maps nodes to domains — one domain per partition
-// group, nodes default to a group of their own — and derives, from the
-// graph alone, everything the conservative engine needs: which edges are
-// cut, the per-cut-edge lookahead (the edge's propagation delay), and the
-// global epoch horizon (the minimum lookahead over cut edges only;
-// intra-domain edges place no bound on the epoch).
-//
-// FabricDomains then materializes a partition against real Simulations:
-// domain 0 aliases the caller's root event loop, the rest are owned, and a
-// DomainGroup is created only when the partition actually splits — a
-// single-domain partition leaves the serial path byte-identical.
-//
-// The PR 5 two-way testbed cut (compute node vs switch+everything) is the
-// trivial case: put the compute host in one group and every other node in
-// another.
+// The rack-scale fan-in testbed describes its fabric this way (node names
+// label its telemetry series); every node runs on the run's one event loop.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
 #include "net/packet.h"
-#include "sim/parallel.h"
-#include "sim/simulation.h"
 
 namespace cowbird::net {
 
@@ -52,7 +34,6 @@ class Topology {
     TopoNodeKind kind = TopoNodeKind::kComputeHost;
     std::string name;
     NodeId address = 0;  // fabric address (switch routing); 0 for switches
-    int group = -1;      // partition group; -1 → a group of its own
   };
   // Full-duplex attachment: a Link in each direction, both with the same
   // propagation delay (what every HostNic::ConnectTo builds today).
@@ -67,12 +48,6 @@ class Topology {
   int AddEdge(TopoNodeId a, TopoNodeId b, Nanos propagation,
               std::string name = {});
 
-  // Partition grouping. Ungrouped nodes partition alone; SetGroup with the
-  // same tag fuses nodes into one domain. GroupAll collapses the whole
-  // topology into a single domain (the serial plan).
-  void SetGroup(TopoNodeId node, int group);
-  void GroupAll(int group);
-
   int node_count() const { return static_cast<int>(nodes_.size()); }
   int edge_count() const { return static_cast<int>(edges_.size()); }
   const Node& node(TopoNodeId id) const {
@@ -85,116 +60,6 @@ class Topology {
  private:
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
-};
-
-// One cut edge of a partition, in the (src domain → dst domain) direction.
-// A full-duplex topology edge whose endpoints land in different domains
-// yields two of these, one per direction.
-struct CutEdgeInfo {
-  int edge = -1;  // Topology edge id
-  int src_domain = -1;
-  int dst_domain = -1;
-  Nanos lookahead = 0;  // the edge's propagation delay
-};
-
-class Partition {
- public:
-  int domain_count() const { return domain_count_; }
-  int domain_of(TopoNodeId node) const {
-    return domain_of_[static_cast<std::size_t>(node)];
-  }
-  const std::vector<CutEdgeInfo>& cut_edges() const { return cut_edges_; }
-  // Minimum lookahead over cut edges — the epoch horizon. kNoEventTime when
-  // nothing is cut (single domain, or no cross-domain edges).
-  Nanos lookahead() const { return lookahead_; }
-
-  // Set when some cut edge has propagation <= 0: the message names the edge
-  // and both endpoints. Builders check this before wiring so a misconfigured
-  // topology fails while the graph is still in hand (the DomainGroup repeats
-  // the refusal at Run time as a backstop).
-  const std::optional<std::string>& zero_lookahead_error() const {
-    return zero_lookahead_error_;
-  }
-
-  // Human-readable summary: domain count, node → domain map, cut edges with
-  // lookahead.
-  std::string Describe(const Topology& topo) const;
-
- private:
-  friend Partition PartitionTopology(const Topology& topo);
-
-  int domain_count_ = 0;
-  std::vector<int> domain_of_;
-  std::vector<CutEdgeInfo> cut_edges_;
-  Nanos lookahead_ = sim::kNoEventTime;
-  std::optional<std::string> zero_lookahead_error_;
-};
-
-// Assigns one domain per distinct partition group (ungrouped nodes count as
-// singleton groups). Domain ids follow first appearance in node order, so
-// node 0 always lands in domain 0 and a fully-grouped topology is domain 0
-// alone. Cut edges are emitted in edge order, a → b direction first.
-Partition PartitionTopology(const Topology& topo);
-
-// Event-rate-driven domain packing: rewrites the topology's partition groups
-// so that at most `budget` domains cover all nodes, balancing the measured
-// per-node event rates instead of the blind one-domain-per-node split.
-//
-// The pass is deterministic — a pure function of (graph, rates, budget),
-// with every tie broken by id order — so a packed run stays bit-identical
-// for any worker count:
-//   1. Heavy-edge contraction: edges in descending endpoint-rate order
-//      (ties: lower edge id first) merge their endpoint components while the
-//      merged rate stays within the balance cap
-//      max(max_rate, ceil(2 * total_rate / budget)).
-//   2. Remainder fold: while more than `budget` components remain, the two
-//      lightest components merge (ties: lower minimum node id first).
-//      Domains need not be connected — a cross-domain hop costs one cut
-//      edge either way.
-//
-// `rates` is indexed by TopoNodeId (one entry per node; a profiling pre-run
-// or telemetry counter feed). A budget <= 0 or >= node_count falls back to
-// the singleton split (every node its own group). Returns the resulting
-// group count; groups are numbered by first appearance in node order, so
-// node 0's group is always 0 and PartitionTopology reproduces the packing
-// as domain ids verbatim.
-int PackDomains(Topology& topo, const std::vector<std::uint64_t>& rates,
-                int budget);
-
-// A partition made real: domain 0 aliases `root` (the caller's event loop
-// and thread), domains 1..n-1 are owned Simulations, all registered — in
-// domain order — in an owned DomainGroup. A single-domain partition creates
-// no group and maps every node to `root`, leaving serial wiring and
-// scheduling byte-identical to a plain Simulation run.
-class FabricDomains {
- public:
-  FabricDomains(sim::Simulation& root, const Partition& partition,
-                int workers = 0);
-  FabricDomains(const FabricDomains&) = delete;
-  FabricDomains& operator=(const FabricDomains&) = delete;
-
-  sim::Simulation& sim_for(TopoNodeId node) {
-    return domain_sim(partition_->domain_of(node));
-  }
-  sim::Simulation& domain_sim(int domain) {
-    return domain == 0 ? *root_ : *owned_[static_cast<std::size_t>(domain - 1)];
-  }
-  int domain_count() const { return partition_->domain_count(); }
-  // Null when the partition is a single domain (serial).
-  sim::DomainGroup* group() const { return group_.get(); }
-  const Partition& partition() const { return *partition_; }
-
-  // Run the whole fabric: the group when split, the root loop otherwise.
-  void Run();
-  void RunFor(Nanos duration);
-  Nanos Now() const;
-  std::uint64_t EventsProcessed() const;
-
- private:
-  sim::Simulation* root_;
-  const Partition* partition_;
-  std::vector<std::unique_ptr<sim::Simulation>> owned_;
-  std::unique_ptr<sim::DomainGroup> group_;
 };
 
 }  // namespace cowbird::net

@@ -1,11 +1,10 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 namespace cowbird::sim {
 
@@ -92,440 +91,6 @@ void ParallelFor(int jobs, int n, const std::function<void(int)>& body) {
   }
   worker_loop(0);
   for (std::thread& t : threads) t.join();
-}
-
-void DomainGroup::AddDomain(Simulation& sim) {
-  COWBIRD_CHECK(sim.group_ == nullptr);
-  sim.group_ = this;
-  sim.domain_id_ = static_cast<int>(sims_.size());
-  sims_.push_back(&sim);
-  start_hooks_.resize(sims_.size());
-  epochs_total_.resize(sims_.size(), 0);
-  epochs_skipped_.resize(sims_.size(), 0);
-  horizon_.resize(sims_.size(), -1);
-  edge_index_dirty_ = true;
-  // The slot grid is rebuilt on every registration; re-materialize mailboxes
-  // for cuts that were (unusually) registered before this domain joined.
-  mailboxes_.clear();
-  mailboxes_.resize(sims_.size() * sims_.size());
-  inbox_srcs_.assign(sims_.size(), {});
-  if (route_all_pairs_) {
-    for (int src = 0; src < domain_count(); ++src) {
-      for (int dst = 0; dst < domain_count(); ++dst) EnsureMailbox(src, dst);
-    }
-  }
-  for (const CutEdge& edge : cut_edges_) {
-    if (edge.src >= 0 && edge.dst >= 0) EnsureMailbox(edge.src, edge.dst);
-  }
-}
-
-void DomainGroup::EnsureMailbox(int src, int dst) {
-  if (src == dst) return;
-  auto& slot = mailboxes_[static_cast<std::size_t>(src) * sims_.size() +
-                          static_cast<std::size_t>(dst)];
-  if (!slot) {
-    slot = std::make_unique<Mailbox>();
-    auto& srcs = inbox_srcs_[static_cast<std::size_t>(dst)];
-    srcs.insert(std::lower_bound(srcs.begin(), srcs.end(), src), src);
-  }
-}
-
-int DomainGroup::worker_count() const {
-  int w = requested_workers_ <= 0 ? MaxParallelism() : requested_workers_;
-#ifdef COWBIRD_PARALLEL_DISABLED
-  w = 1;
-#endif
-  return std::max(1, std::min(w, static_cast<int>(sims_.size())));
-}
-
-void DomainGroup::NoteCrossLink(const CutEdge& edge) {
-  COWBIRD_CHECK(edge.src >= 0 && edge.src < domain_count());
-  COWBIRD_CHECK(edge.dst >= 0 && edge.dst < domain_count());
-  COWBIRD_CHECK(edge.src != edge.dst);
-  has_cross_link_ = true;
-  lookahead_ = std::min(lookahead_, edge.lookahead);
-  cut_edges_.push_back(edge);
-  edge_index_dirty_ = true;
-  EnsureMailbox(edge.src, edge.dst);
-}
-
-void DomainGroup::NoteCrossLink(Nanos lookahead) {
-  has_cross_link_ = true;
-  lookahead_ = std::min(lookahead_, lookahead);
-  cut_edges_.push_back(CutEdge{-1, -1, lookahead, "<unnamed cross-link>",
-                               "<unknown>", "<unknown>"});
-  route_all_pairs_ = true;
-  edge_index_dirty_ = true;
-  for (int src = 0; src < domain_count(); ++src) {
-    for (int dst = 0; dst < domain_count(); ++dst) EnsureMailbox(src, dst);
-  }
-}
-
-void DomainGroup::CrossPost(int src, int dst, Nanos when, EventFn fn) {
-  // A message landing inside the destination's horizon would mean the epoch
-  // already dispatched events it could have affected — the lookahead
-  // contract is broken, not merely this call.
-  COWBIRD_CHECK(when > horizon_[static_cast<std::size_t>(dst)]);
-  Mailbox* box = MailboxSlot(src, dst);
-  COWBIRD_CHECK(box != nullptr);  // pair registered via NoteCrossLink
-  box->events.push_back(CrossEvent{when, box->next_seq++, std::move(fn)});
-}
-
-void DomainGroup::SetDomainStartHook(int domain, std::function<void()> hook) {
-  start_hooks_[static_cast<std::size_t>(domain)] = std::move(hook);
-}
-
-Nanos DomainGroup::Now() const {
-  Nanos now = 0;
-  for (const Simulation* sim : sims_) now = std::max(now, sim->Now());
-  return now;
-}
-
-std::uint64_t DomainGroup::EventsProcessed() const {
-  std::uint64_t total = 0;
-  for (const Simulation* sim : sims_) total += sim->EventsProcessed();
-  return total;
-}
-
-void DomainGroup::DrainInboxes(int dst) {
-  Simulation& sim = *sims_[static_cast<std::size_t>(dst)];
-  std::uint64_t delivered = 0;
-  for (int src : inbox_srcs_[static_cast<std::size_t>(dst)]) {
-    Mailbox* box = MailboxSlot(src, dst);
-    if (box->events.empty()) continue;
-    // Per-source streams are already in push order; the cross-band heap key
-    // (bit 63, src, push seq) merges them into a fixed (when, src, seq)
-    // dispatch order — a pure function of the epoch's contents, independent
-    // of thread interleaving and of which epoch delivered them. This is
-    // where cross-domain determinism comes from.
-    const std::uint64_t band =
-        kCrossSeqBand | (static_cast<std::uint64_t>(src) << kCrossSrcShift);
-    for (CrossEvent& event : box->events) {
-      COWBIRD_CHECK(event.seq <= kCrossSeqMask);
-      sim.ScheduleCross(event.when, band | event.seq, std::move(event.fn));
-    }
-    delivered += box->events.size();
-    box->events.clear();
-  }
-  if (delivered != 0) {
-    cross_events_delivered_.fetch_add(delivered, std::memory_order_relaxed);
-  }
-}
-
-void DomainGroup::BuildEdgeIndex() {
-  const int n = domain_count();
-  out_edges_.assign(static_cast<std::size_t>(n), {});
-  // Per-pair minimum lookahead; n is at most a few hundred, so the n^2
-  // scratch is cheap and the build runs once per Run.
-  std::vector<Nanos> pair_la(static_cast<std::size_t>(n) *
-                                 static_cast<std::size_t>(n),
-                             kNoEventTime);
-  if (route_all_pairs_) {
-    Nanos anon = kNoEventTime;
-    for (const CutEdge& edge : cut_edges_) {
-      if (edge.src < 0) anon = std::min(anon, edge.lookahead);
-    }
-    for (std::size_t src = 0; src < static_cast<std::size_t>(n); ++src) {
-      for (std::size_t dst = 0; dst < static_cast<std::size_t>(n); ++dst) {
-        if (src != dst) pair_la[src * static_cast<std::size_t>(n) + dst] = anon;
-      }
-    }
-  }
-  for (const CutEdge& edge : cut_edges_) {
-    if (edge.src < 0) continue;
-    Nanos& slot = pair_la[static_cast<std::size_t>(edge.src) *
-                              static_cast<std::size_t>(n) +
-                          static_cast<std::size_t>(edge.dst)];
-    slot = std::min(slot, edge.lookahead);
-  }
-  for (int src = 0; src < n; ++src) {
-    for (int dst = 0; dst < n; ++dst) {
-      const Nanos la = pair_la[static_cast<std::size_t>(src) *
-                                   static_cast<std::size_t>(n) +
-                               static_cast<std::size_t>(dst)];
-      if (la != kNoEventTime) {
-        out_edges_[static_cast<std::size_t>(src)].push_back(OutEdge{dst, la});
-      }
-    }
-  }
-  edge_index_dirty_ = false;
-}
-
-void DomainGroup::ComputeHorizons(Nanos t_min, Nanos cap) {
-  const int n = domain_count();
-  if (horizon_policy_ == HorizonPolicy::kGlobalMin) {
-    // Saturating t_min + lookahead - 1: with no cross-domain link the
-    // horizon is unbounded and only the cap (deadline / next global)
-    // bounds it.
-    const Nanos horizon = lookahead_ >= kNoEventTime - t_min
-                              ? kNoEventTime
-                              : t_min + lookahead_ - 1;
-    horizon_.assign(static_cast<std::size_t>(n), std::min(horizon, cap));
-    return;
-  }
-  // Per-edge appointment horizons: LBTS(d) is a lower bound on every
-  // message d can receive in this or ANY later epoch, so dispatching
-  // through LBTS(d) - 1 is safe. The transitive fixpoint
-  //   LBTS(d) = min over edges s->d of min(next(s), LBTS(s)) + la(s,d)
-  // is what makes the bound hold across epochs: a relay chain can hand an
-  // intermediate domain earlier work later, so one-hop promises are not
-  // enough. Lookaheads are strictly positive, so a Dijkstra-style
-  // relaxation in ascending reach order settles every node the first time
-  // it pops. Pure function of next_times_ and the cut graph → identical on
-  // every worker count. Mailboxes were drained before this point, so every
-  // already-published delivery is accounted for by next_times_.
-  lbts_.assign(static_cast<std::size_t>(n), kNoEventTime);
-  reach_ = next_times_;  // reach(d) = min(next(d), LBTS(d)) so far
-  relax_heap_.clear();
-  const auto heap_greater = [](const std::pair<Nanos, int>& a,
-                               const std::pair<Nanos, int>& b) {
-    return a.first > b.first;
-  };
-  for (int d = 0; d < n; ++d) {
-    const Nanos reach = reach_[static_cast<std::size_t>(d)];
-    if (reach != kNoEventTime && cap != kNoEventTime && reach > cap) continue;
-    if (reach != kNoEventTime) relax_heap_.emplace_back(reach, d);
-  }
-  std::make_heap(relax_heap_.begin(), relax_heap_.end(), heap_greater);
-  while (!relax_heap_.empty()) {
-    std::pop_heap(relax_heap_.begin(), relax_heap_.end(), heap_greater);
-    const auto [reach, src] = relax_heap_.back();
-    relax_heap_.pop_back();
-    if (reach != reach_[static_cast<std::size_t>(src)]) continue;  // stale
-    for (const OutEdge& edge : out_edges_[static_cast<std::size_t>(src)]) {
-      if (reach >= kNoEventTime - edge.lookahead) continue;
-      const Nanos arrival = reach + edge.lookahead;
-      if (arrival < lbts_[static_cast<std::size_t>(edge.dst)]) {
-        lbts_[static_cast<std::size_t>(edge.dst)] = arrival;
-        if (arrival < reach_[static_cast<std::size_t>(edge.dst)]) {
-          reach_[static_cast<std::size_t>(edge.dst)] = arrival;
-          relax_heap_.emplace_back(arrival, edge.dst);
-          std::push_heap(relax_heap_.begin(), relax_heap_.end(), heap_greater);
-        }
-      }
-    }
-  }
-  for (int d = 0; d < n; ++d) {
-    const Nanos lbts = lbts_[static_cast<std::size_t>(d)];
-    horizon_[static_cast<std::size_t>(d)] =
-        lbts == kNoEventTime ? cap : std::min(lbts - 1, cap);
-  }
-}
-
-bool DomainGroup::NextEpoch(Nanos deadline) {
-  const int n = domain_count();
-  for (;;) {
-    if (halt_requested_.load(std::memory_order_acquire)) return false;
-    next_times_.resize(static_cast<std::size_t>(n));
-    Nanos t_min = kNoEventTime;
-    for (int d = 0; d < n; ++d) {
-      next_times_[static_cast<std::size_t>(d)] =
-          sims_[static_cast<std::size_t>(d)]->NextEventTime();
-      t_min = std::min(t_min, next_times_[static_cast<std::size_t>(d)]);
-    }
-    const Nanos g_min =
-        next_global_ < globals_.size() ? globals_[next_global_].when
-                                       : kNoEventTime;
-    const Nanos next = std::min(t_min, g_min);
-    if (next == kNoEventTime || next > deadline) return false;
-    if (g_min <= t_min) {
-      // Globals at time T run before domain events at T; every domain is
-      // quiescent here, so the event may touch any of them.
-      GlobalEvent& global = globals_[next_global_++];
-      for (Simulation* sim : sims_) sim->AdvanceTo(global.when);
-      global.fn();
-      // A global may send on cross-domain links (live migration does);
-      // those deliveries sit in mailboxes where the horizon computation
-      // cannot see them. Fold them into the heaps before deciding anything.
-      for (int d = 0; d < n; ++d) DrainInboxes(d);
-      continue;
-    }
-    Nanos cap = deadline;
-    if (g_min != kNoEventTime) cap = std::min(cap, g_min - 1);
-    ComputeHorizons(t_min, cap);
-    // The domain holding t_min always has horizon >= t_min (every lookahead
-    // is positive), so each epoch retires at least one event — progress is
-    // guaranteed. Domains whose earliest event lies beyond their horizon
-    // skip the epoch entirely.
-    for (int d = 0; d < n; ++d) {
-      ++epochs_total_[static_cast<std::size_t>(d)];
-      if (next_times_[static_cast<std::size_t>(d)] >
-          horizon_[static_cast<std::size_t>(d)]) {
-        ++epochs_skipped_[static_cast<std::size_t>(d)];
-      }
-    }
-    return true;
-  }
-}
-
-void DomainGroup::RunEpochsSequential(Nanos deadline) {
-  while (NextEpoch(deadline)) {
-    ++epochs_;
-    for (int d = 0; d < domain_count(); ++d) {
-      sims_[static_cast<std::size_t>(d)]->DispatchUpTo(
-          horizon_[static_cast<std::size_t>(d)]);
-    }
-    for (int d = 0; d < domain_count(); ++d) DrainInboxes(d);
-  }
-}
-
-void DomainGroup::RunEpochsParallel(Nanos deadline) {
-  stop_workers_ = false;
-  const int workers = worker_count();
-  barrier_ = std::make_unique<EpochBarrier>(workers);
-
-  // Worker w owns domains {d : d % workers == w} and advances them in
-  // ascending id within each phase — the same order the sequential path
-  // uses, so any worker count replays the identical epoch schedule.
-  auto run_hooks = [this, workers](int w) {
-    for (int d = w; d < domain_count(); d += workers) {
-      if (start_hooks_[static_cast<std::size_t>(d)]) {
-        start_hooks_[static_cast<std::size_t>(d)]();
-      }
-    }
-  };
-  auto dispatch_owned = [this, workers](int w) {
-    for (int d = w; d < domain_count(); d += workers) {
-      sims_[static_cast<std::size_t>(d)]->DispatchUpTo(
-          horizon_[static_cast<std::size_t>(d)]);
-    }
-  };
-  auto drain_owned = [this, workers](int w) {
-    for (int d = w; d < domain_count(); d += workers) DrainInboxes(d);
-  };
-  auto timed_wait = [this](int w) {
-    const auto start = std::chrono::steady_clock::now();
-    barrier_->ArriveAndWait();
-    barrier_wait_ns_[static_cast<std::size_t>(w)] +=
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count());
-  };
-
-  auto worker_main = [&run_hooks, &dispatch_owned, &drain_owned, &timed_wait,
-                      this](int w) {
-    run_hooks(w);
-    for (;;) {
-      timed_wait(w);  // A: epoch published (or stop)
-      if (stop_workers_) return;
-      dispatch_owned(w);
-      timed_wait(w);  // B: all dispatch done, mailboxes final
-      drain_owned(w);
-      timed_wait(w);  // C: all heaps updated, workers park
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(workers - 1));
-  for (int w = 1; w < workers; ++w) {
-    threads.emplace_back(worker_main, w);
-  }
-  run_hooks(0);
-
-  // Between barrier C and the next barrier A every worker is parked, so the
-  // coordinator is free to read all heaps and run global events.
-  while (NextEpoch(deadline)) {
-    ++epochs_;
-    timed_wait(0);  // A
-    dispatch_owned(0);
-    timed_wait(0);  // B
-    drain_owned(0);
-    timed_wait(0);  // C
-  }
-  stop_workers_ = true;
-  barrier_->ArriveAndWait();  // release workers into the stop check
-  for (std::thread& t : threads) t.join();
-}
-
-void DomainGroup::FailZeroLookahead() const {
-  const CutEdge* bad = nullptr;
-  for (const CutEdge& edge : cut_edges_) {
-    if (edge.lookahead <= 0) {
-      bad = &edge;
-      break;
-    }
-  }
-  if (bad != nullptr && bad->src >= 0) {
-    std::fprintf(stderr,
-                 "DomainGroup: zero-lookahead cut: link '%s' from '%s' "
-                 "(domain %d) to '%s' (domain %d) advertises %lld ns of "
-                 "propagation delay.\n",
-                 bad->link.c_str(), bad->src_node.c_str(), bad->src,
-                 bad->dst_node.c_str(), bad->dst,
-                 static_cast<long long>(bad->lookahead));
-  } else {
-    std::fprintf(stderr,
-                 "DomainGroup: zero-lookahead cut: a cross-domain link "
-                 "advertised 0 ns of propagation delay "
-                 "(NoteCrossLink(0)).\n");
-  }
-  std::fprintf(stderr,
-               "Conservative epochs dispatch [T, T + min-lookahead - 1]; a "
-               "zero-lookahead cut makes that window empty, so the group "
-               "would spin forever. Give the link a positive propagation "
-               "delay or place both endpoints in the same partition group.\n");
-  std::abort();
-}
-
-void DomainGroup::RunInternal(Nanos deadline) {
-  COWBIRD_CHECK(!sims_.empty());
-  // A zero-lookahead cut admits no safe horizon: the epoch loop would make
-  // no progress. Fail loudly — naming the offending link — instead of
-  // deadlocking (regression-tested).
-  if (has_cross_link_ && lookahead_ <= 0) FailZeroLookahead();
-  halt_requested_.store(false, std::memory_order_release);
-  for (Simulation* sim : sims_) sim->ClearHalt();
-  if (edge_index_dirty_) BuildEdgeIndex();
-  resolved_workers_ = worker_count();
-  if (barrier_wait_ns_.size() < static_cast<std::size_t>(resolved_workers_)) {
-    barrier_wait_ns_.resize(static_cast<std::size_t>(resolved_workers_), 0);
-  }
-  // Globals may be registered in any order; consume in (when, seq) order.
-  std::stable_sort(globals_.begin() + static_cast<std::ptrdiff_t>(next_global_),
-                   globals_.end(),
-                   [](const GlobalEvent& a, const GlobalEvent& b) {
-                     if (a.when != b.when) return a.when < b.when;
-                     return a.seq < b.seq;
-                   });
-
-  if (worker_count() > 1 && domain_count() > 1) {
-    RunEpochsParallel(deadline);
-  } else {
-    for (const auto& hook : start_hooks_) {
-      if (hook) hook();
-    }
-    RunEpochsSequential(deadline);
-  }
-
-  // Mirror Simulation::RunUntil: clocks land exactly on the deadline unless
-  // the run was halted first.
-  if (deadline != kNoEventTime &&
-      !halt_requested_.load(std::memory_order_acquire)) {
-    for (Simulation* sim : sims_) sim->AdvanceTo(deadline);
-  }
-}
-
-std::uint64_t DomainGroup::barrier_wait_ns(int domain) const {
-  if (barrier_wait_ns_.empty()) return 0;
-  return barrier_wait_ns_[static_cast<std::size_t>(domain % resolved_workers_)];
-}
-
-void DomainGroup::ComputeHorizonsForBench(Nanos deadline) {
-  if (edge_index_dirty_) BuildEdgeIndex();
-  const int n = domain_count();
-  next_times_.resize(static_cast<std::size_t>(n));
-  Nanos t_min = kNoEventTime;
-  for (int d = 0; d < n; ++d) {
-    next_times_[static_cast<std::size_t>(d)] =
-        sims_[static_cast<std::size_t>(d)]->NextEventTime();
-    t_min = std::min(t_min, next_times_[static_cast<std::size_t>(d)]);
-  }
-  ComputeHorizons(t_min, deadline);
-}
-
-void DomainGroup::DrainAllInboxesForBench() {
-  for (int d = 0; d < domain_count(); ++d) DrainInboxes(d);
 }
 
 }  // namespace cowbird::sim

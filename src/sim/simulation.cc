@@ -1,13 +1,6 @@
 #include "sim/simulation.h"
 
-#include "sim/parallel.h"
-
 namespace cowbird::sim {
-
-void Simulation::Halt() {
-  halted_ = true;
-  if (group_ != nullptr) group_->RequestHalt();
-}
 
 Simulation::~Simulation() {
   // Destroy still-suspended root processes (server loops etc). Destroying a

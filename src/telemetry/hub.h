@@ -13,10 +13,7 @@
 //   WriteFile("snapshot.json", hub.metrics.TakeSnapshot().ToJson());
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -30,52 +27,6 @@ struct Hub {
 
   MetricRegistry metrics;
   SpanTracer tracer;
-};
-
-// Telemetry for a partitioned simulation: one Hub shard per PDES domain,
-// keyed by partition id. Shard 0 is the caller's root hub (possibly null —
-// telemetry off); shards 1..n-1 are private hubs whose registries each bind
-// to the worker thread that owns their domain. After the run, MergeInto
-// folds the extra shards into the root's snapshot and tracer in ascending
-// domain order — an N-way MergeFrom whose result is independent of how many
-// worker threads executed the domains.
-class HubShards {
- public:
-  // clock_of(d) supplies the virtual clock for shard d's tracer (typically
-  // that domain's Simulation::Now). With a null root every ForDomain returns
-  // null and telemetry stays off; with a single domain the root serves all.
-  void Reset(Hub* root, int domain_count,
-             const std::function<Clock(int)>& clock_of) {
-    root_ = root;
-    extra_.clear();
-    if (root == nullptr) return;
-    for (int d = 1; d < domain_count; ++d) {
-      extra_.push_back(std::make_unique<Hub>(clock_of(d)));
-    }
-  }
-
-  Hub* ForDomain(int domain) {
-    if (root_ == nullptr) return nullptr;
-    if (domain == 0) return root_;
-    return extra_[static_cast<std::size_t>(domain - 1)].get();
-  }
-  int shard_count() const {
-    return root_ == nullptr ? 0 : 1 + static_cast<int>(extra_.size());
-  }
-
-  // Folds shards 1..n-1 into `snapshot` (which the caller took from the
-  // root registry) and into the root tracer, in domain order.
-  void MergeInto(Snapshot& snapshot) {
-    if (root_ == nullptr) return;
-    for (auto& shard : extra_) {
-      snapshot.MergeFrom(shard->metrics.TakeSnapshot());
-      root_->tracer.MergeFrom(shard->tracer);
-    }
-  }
-
- private:
-  Hub* root_ = nullptr;
-  std::vector<std::unique_ptr<Hub>> extra_;
 };
 
 }  // namespace cowbird::telemetry

@@ -40,27 +40,12 @@ std::uint64_t SparseQuantileUpperBound(
 
 }  // namespace
 
-// Unbound handles hold nullptr: a thread-local dummy cell looks tempting but
-// handles are typically constructed on the harness thread and exercised on a
-// domain worker, so every "thread-local" fallback actually lands on the
-// constructing thread's word — shared across domains, a data race.
+// Unbound handles hold nullptr, never a shared dummy cell: handles of runs
+// swept side by side would otherwise race on that one word.
 Counter::Counter() : cell_(nullptr) {}
 Gauge::Gauge() : cell_(nullptr) {}
 Histogram::Histogram() : cell_(nullptr) {}
 
-#ifndef NDEBUG
-Counter::Counter(std::uint64_t* cell, const MetricRegistry* owner)
-    : cell_(cell), owner_(owner) {}
-Gauge::Gauge(std::int64_t* cell, const MetricRegistry* owner)
-    : cell_(cell), owner_(owner) {}
-Histogram::Histogram(LogHistogram* cell, const MetricRegistry* owner)
-    : cell_(cell), owner_(owner) {}
-#else
-Counter::Counter(std::uint64_t* cell, const MetricRegistry*) : cell_(cell) {}
-Gauge::Gauge(std::int64_t* cell, const MetricRegistry*) : cell_(cell) {}
-Histogram::Histogram(LogHistogram* cell, const MetricRegistry*)
-    : cell_(cell) {}
-#endif
 
 std::string CanonicalMetricKey(std::string_view name, const Labels& labels) {
   COWBIRD_CHECK(LegalAtom(name));
@@ -86,18 +71,18 @@ std::string CanonicalMetricKey(std::string_view name, const Labels& labels) {
 
 Counter MetricRegistry::GetCounter(std::string_view name,
                                    const Labels& labels) {
-  return Counter(&counters_[CanonicalMetricKey(name, labels)], this);
+  return Counter(&counters_[CanonicalMetricKey(name, labels)]);
 }
 
 Gauge MetricRegistry::GetGauge(std::string_view name, const Labels& labels) {
   std::string key = CanonicalMetricKey(name, labels);
   COWBIRD_CHECK(!callback_gauges_.contains(key));
-  return Gauge(&gauges_[std::move(key)], this);
+  return Gauge(&gauges_[std::move(key)]);
 }
 
 Histogram MetricRegistry::GetHistogram(std::string_view name,
                                        const Labels& labels) {
-  return Histogram(&histograms_[CanonicalMetricKey(name, labels)], this);
+  return Histogram(&histograms_[CanonicalMetricKey(name, labels)]);
 }
 
 void MetricRegistry::RegisterCallbackGauge(std::string_view name,

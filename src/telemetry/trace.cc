@@ -113,44 +113,6 @@ const OpBreakdown* SpanTracer::FindOp(const OpKey& key) const {
   return it == ops_.end() ? nullptr : &it->second;
 }
 
-void SpanTracer::MergeFrom(const SpanTracer& other) {
-  for (const Span& span : other.spans_) {
-    if (spans_.size() >= span_capacity_) {
-      ++dropped_spans_;
-      continue;
-    }
-    spans_.push_back(span);
-  }
-  for (const InstantEvent& instant : other.instants_) {
-    if (instants_.size() >= instant_capacity_) {
-      ++dropped_instants_;
-      continue;
-    }
-    instants_.push_back(instant);
-  }
-  for (const auto& [key, breakdown] : other.ops_) {
-    auto it = ops_.find(key);
-    if (it == ops_.end()) {
-      if (ops_.size() >= op_capacity_) {
-        ++dropped_ops_;
-        continue;
-      }
-      ops_.emplace(key, breakdown);
-      continue;
-    }
-    // Same first-stamp-wins rule as RecordOpAt: a phase this tracer already
-    // observed keeps its timestamp.
-    for (int phase = 0; phase < kNumOpPhases; ++phase) {
-      if (it->second.at[phase] == OpBreakdown::kUnset) {
-        it->second.at[phase] = breakdown.at[phase];
-      }
-    }
-  }
-  dropped_ops_ += other.dropped_ops_;
-  dropped_spans_ += other.dropped_spans_;
-  dropped_instants_ += other.dropped_instants_;
-}
-
 namespace {
 
 // One Chrome trace event, pre-sorted by (ts, creation order) at export.

@@ -45,8 +45,7 @@ constexpr std::uint16_t kRegion = 1;
 struct Harness {
   explicit Harness(const HashWorkloadConfig& config,
                    BitRate compute_uplink = BitRate::Gbps(100))
-      : cfg(config),
-        bed(16, compute_uplink, config.split_domains, config.split_workers) {
+      : cfg(config), bed(16, compute_uplink) {
     pool_mr = bed.memory_dev.RegisterMemory(
         kPoolBase, cfg.records * cfg.record_size + KiB(4));
     // Registered memory is pinned at ibv_reg_mr time on real hardware, so
@@ -58,39 +57,20 @@ struct Harness {
     }
     if (auto* hub = cfg.telemetry) {
       hub->tracer.SetClock([this] { return bed.sim.Now(); });
-      // Split runs shard the telemetry: cells mutated on the engine domain's
-      // thread live in a private hub merged into the caller's snapshot after
-      // the run. Serial runs alias ehub to the caller's hub, byte-identical
-      // to the pre-split wiring.
-      telemetry::Hub* ehub = hub;
-      if (bed.split()) {
-        engine_hub = std::make_unique<telemetry::Hub>(
-            [this] { return bed.esim.Now(); });
-        ehub = engine_hub.get();
-      }
       bed.compute_dev.BindTelemetry(hub->metrics, {{"node", "compute"}});
-      bed.memory_dev.BindTelemetry(ehub->metrics, {{"node", "memory"}});
-      bed.spot_dev.BindTelemetry(ehub->metrics, {{"node", "spot"}});
-      // Link counters mutate on the delivery side, so each link binds to
-      // the hub of its destination domain.
-      const struct {
-        const char* name;
-        net::Link* link;
-        telemetry::Hub* dst_hub;
-      } fabric[] = {
-          {"sw_to_compute", &bed.sw.EgressLink(bed.compute_nic.switch_port()),
-           hub},
-          {"sw_to_memory", &bed.sw.EgressLink(bed.memory_nic.switch_port()),
-           ehub},
-          {"sw_to_spot", &bed.sw.EgressLink(bed.spot_nic.switch_port()),
-           ehub},
-          {"compute_uplink", &bed.compute_nic.uplink(), ehub},
-          {"memory_uplink", &bed.memory_nic.uplink(), ehub},
-          {"spot_uplink", &bed.spot_nic.uplink(), ehub},
+      bed.memory_dev.BindTelemetry(hub->metrics, {{"node", "memory"}});
+      bed.spot_dev.BindTelemetry(hub->metrics, {{"node", "spot"}});
+      const std::pair<const char*, net::Link*> fabric[] = {
+          {"sw_to_compute", &bed.sw.EgressLink(bed.compute_nic.switch_port())},
+          {"sw_to_memory", &bed.sw.EgressLink(bed.memory_nic.switch_port())},
+          {"sw_to_spot", &bed.sw.EgressLink(bed.spot_nic.switch_port())},
+          {"compute_uplink", &bed.compute_nic.uplink()},
+          {"memory_uplink", &bed.memory_nic.uplink()},
+          {"spot_uplink", &bed.spot_nic.uplink()},
       };
-      for (const auto& f : fabric) {
-        f.link->BindTelemetry(f.dst_hub->metrics, {{"link", f.name}});
-        bound_links.push_back(f.link);
+      for (const auto& [name, link] : fabric) {
+        link->BindTelemetry(hub->metrics, {{"link", name}});
+        bound_links.push_back(link);
       }
       // Datapath object pools: in-use / high-water / exhaustion gauges make
       // a mis-sized pool visible instead of silently degrading to the heap.
@@ -98,15 +78,6 @@ struct Harness {
                         bed.sim.EventPoolStats());
       BindPoolTelemetry(hub->metrics, telemetry::Labels{{"pool", "sim_timers"}},
                         bed.sim.TimerPoolStats());
-    }
-    if (bed.split()) {
-      // Debug builds pin each registry to its domain's worker thread.
-      bed.group->SetDomainStartHook(0, [this] {
-        if (cfg.telemetry) cfg.telemetry->metrics.BindToCurrentThread();
-      });
-      bed.group->SetDomainStartHook(1, [this] {
-        if (engine_hub) engine_hub->metrics.BindToCurrentThread();
-      });
     }
     for (int t = 0; t < cfg.threads; ++t) {
       threads.push_back(
@@ -164,7 +135,7 @@ struct Harness {
             cfg.records * cfg.record_size + KiB(4)});
         if (cfg.paradigm == Paradigm::kCowbirdP4) {
           p4::CowbirdP4Engine::Config ec;
-          ec.telemetry = EngineTelemetry();
+          ec.telemetry = cfg.telemetry;
           p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw, ec);
           auto conn = p4::ConnectP4Engine(*p4_engine, ec.switch_node_id,
                                           bed.compute_dev, bed.memory_dev,
@@ -175,7 +146,7 @@ struct Harness {
         }
         spot::SpotAgent::Config ac = cfg.agent;
         ac.costs = cfg.costs;
-        ac.telemetry = EngineTelemetry();
+        ac.telemetry = cfg.telemetry;
         if (cfg.paradigm == Paradigm::kCowbirdNoBatch) ac.batch_size = 1;
         agent = std::make_unique<spot::SpotAgent>(bed.spot_dev,
                                                   bed.spot_machine, ac);
@@ -195,33 +166,13 @@ struct Harness {
           &bed.sw.EgressLink(bed.memory_nic.switch_port()),
           &bed.sw.EgressLink(bed.spot_nic.switch_port()),
       };
-      if (!bed.split()) {
-        // One shared stream drawn in delivery order — the historical
-        // behavior the golden-pinned serial runs depend on.
-        loss_rng = std::make_unique<Rng>(cfg.seed * 104729 + 1);
-        auto filter = [this](const net::Packet& p) {
-          return rdma::LooksLikeRdma(p) && loss_rng->Bernoulli(cfg.loss_rate);
-        };
-        for (net::Link* link : lossy) link->set_drop_filter(filter);
-      } else {
-        // Drop filters run on each link's destination domain; a shared
-        // stream would race (and make drop decisions depend on thread
-        // interleaving), so split mode derives one stream per link.
-        for (std::size_t i = 0; i < std::size(lossy); ++i) {
-          loss_rngs.push_back(std::make_unique<Rng>(
-              cfg.seed * 104729 + 1 + 1000003 * (i + 1)));
-          lossy[i]->set_drop_filter(
-              [this, rng = loss_rngs.back().get()](const net::Packet& p) {
-                return rdma::LooksLikeRdma(p) &&
-                       rng->Bernoulli(cfg.loss_rate);
-              });
-        }
-      }
+      // One shared stream drawn in delivery order.
+      loss_rng = std::make_unique<Rng>(cfg.seed * 104729 + 1);
+      auto filter = [this](const net::Packet& p) {
+        return rdma::LooksLikeRdma(p) && loss_rng->Bernoulli(cfg.loss_rate);
+      };
+      for (net::Link* link : lossy) link->set_drop_filter(filter);
     }
-  }
-
-  telemetry::Hub* EngineTelemetry() {
-    return engine_hub ? engine_hub.get() : cfg.telemetry;
   }
 
   ~Harness() {
@@ -261,8 +212,6 @@ struct Harness {
   std::unique_ptr<baselines::AifmModel> aifm;
   std::unique_ptr<ZipfianGenerator> zipf;
   std::unique_ptr<Rng> loss_rng;
-  std::vector<std::unique_ptr<Rng>> loss_rngs;  // split mode: one per link
-  std::unique_ptr<telemetry::Hub> engine_hub;   // split mode + telemetry
   std::vector<std::unique_ptr<sim::SimThread>> threads;
   std::vector<std::unique_ptr<baselines::TwoSidedClient>> rpc_clients;
   std::vector<std::unique_ptr<baselines::AsyncPipeline>> pipelines;
@@ -464,19 +413,19 @@ WorkloadResult RunHashWorkload(const HashWorkloadConfig& config) {
     }
   }
 
-  h.bed.RunFor(config.warmup);
+  h.bed.sim.RunFor(config.warmup);
   const CpuSnapshot start = Snapshot(h);
   if (config.on_measure_start) config.on_measure_start();
   const Nanos t0 = h.bed.sim.Now();
-  const std::uint64_t events0 = h.bed.EventsProcessed();
-  h.bed.RunFor(config.measure);
+  const std::uint64_t events0 = h.bed.sim.EventsProcessed();
+  h.bed.sim.RunFor(config.measure);
   if (config.on_measure_end) config.on_measure_end();
   const CpuSnapshot end = Snapshot(h);
   const Nanos elapsed = h.bed.sim.Now() - t0;
 
   WorkloadResult result;
   result.ops = end.ops - start.ops;
-  result.sim_events = h.bed.EventsProcessed() - events0;
+  result.sim_events = h.bed.sim.EventsProcessed() - events0;
   result.elapsed = elapsed;
   result.mops = Mops(result.ops, elapsed);
   const Nanos comm = end.comm - start.comm;
@@ -491,12 +440,6 @@ WorkloadResult RunHashWorkload(const HashWorkloadConfig& config) {
               : 0.0;
   if (config.telemetry != nullptr) {
     result.telemetry = config.telemetry->metrics.TakeSnapshot();
-    if (h.engine_hub) {
-      // Fold the engine domain's shard back in: metrics merge by key, op
-      // phase stamps interleave per key (each side stamped a disjoint set).
-      result.telemetry.MergeFrom(h.engine_hub->metrics.TakeSnapshot());
-      config.telemetry->tracer.MergeFrom(h.engine_hub->tracer);
-    }
   }
   return result;
 }
@@ -622,9 +565,6 @@ LatencyResult RunLatencyProbe(const LatencyProbeConfig& config) {
 ContentionResult RunContentionExperiment(const HashWorkloadConfig& config,
                                          int tcp_flows,
                                          BitRate compute_uplink) {
-  // The greedy flows drive the compute uplink from the host thread; the
-  // experiment has not been audited for the domain cut.
-  COWBIRD_CHECK(!config.split_domains);
   Harness h(config, compute_uplink);
   if (config.zipfian) {
     h.zipf = std::make_unique<ZipfianGenerator>(config.records,

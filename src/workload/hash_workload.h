@@ -53,17 +53,6 @@ struct HashWorkloadConfig {
   double loss_rate = 0.0;
   spot::SpotAgent::Config agent;  // Cowbird engine knobs (batch_size etc.)
   rdma::CostModel costs;
-  // Run the testbed as a two-domain sim::DomainGroup (compute node vs
-  // switch + memory/spot/bystander) with `split_workers` threads
-  // (0 → hardware concurrency). Split runs are bit-deterministic for any
-  // worker count. Relative to serial, loss-free runs land within a
-  // sub-percent drift (~0.1% ops): cross-domain deliveries are sequenced at
-  // drain time, which flips same-timestamp tie-breaks at the cut. With
-  // loss_rate > 0 drops additionally come from per-link RNG streams (the
-  // serial mode's single shared stream would be an inter-domain race), so
-  // faulted runs are self-consistent but not comparable to serial.
-  bool split_domains = false;
-  int split_workers = 0;
   // Optional telemetry hub: the tracer clock is re-seated onto the run's
   // private simulation, the client and engines are instrumented, and the
   // testbed's devices and fabric links are bound as labeled gauges. The

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "net/topology.h"
 #include "core/client.h"
 #include "core/cluster_pool.h"
 #include "core/migration.h"
@@ -28,9 +27,10 @@ constexpr std::uint16_t kRegion = 1;
 // Physical slabs backing the migrating client's ClusterPool region live
 // away from the striped per-server pools so neither registration overlaps.
 constexpr std::uint64_t kSlabBase = 0x4000'0000;
-// Cadence of the migration coordinator. Ticks are pre-scheduled (global
-// events when split) because conservative PDES forbids rescheduling a
-// global event from inside one.
+// Cadence of the migration coordinator. The whole tick train is scheduled
+// up front; a self-rescheduling tick would draw its event sequence numbers
+// at different points and could move a same-time tie-break, and the
+// committed rebalance baselines pin this exact schedule.
 constexpr Nanos kMigrateTick = Micros(25);
 
 // Incast collapses the striping: every client hits memory server 0.
@@ -39,9 +39,8 @@ int ServerFor(const ScaleWorkloadConfig& cfg, int k) {
 }
 
 struct ScaleHarness {
-  explicit ScaleHarness(const ScaleWorkloadConfig& config,
-                        std::vector<int> pack_groups = {})
-      : cfg(config), bed(MakeFanInConfig(config, std::move(pack_groups))) {
+  explicit ScaleHarness(const ScaleWorkloadConfig& config)
+      : cfg(config), bed(MakeFanInConfig(config)) {
     latency_traces.resize(
         static_cast<std::size_t>(cfg.clients * cfg.threads_per_client));
     const Bytes pool_bytes = cfg.records * cfg.record_size + KiB(4);
@@ -90,7 +89,7 @@ struct ScaleHarness {
       cc.layout.data_capacity = MiB(1);
       cc.layout.resp_capacity = MiB(1);
       cc.costs = cfg.costs;
-      cc.telemetry = HubFor(bed.client_node(k));
+      cc.telemetry = cfg.telemetry;
       clients.push_back(std::make_unique<core::CowbirdClient>(
           *bed.client_devs[kk], cc));
       const int server = ServerFor(cfg, k);
@@ -110,7 +109,7 @@ struct ScaleHarness {
 
     if (cfg.paradigm == Paradigm::kCowbirdP4) {
       p4::CowbirdP4Engine::Config ec;
-      ec.telemetry = HubFor(bed.switch_node());
+      ec.telemetry = cfg.telemetry;
       // When the NICs run DCQCN, the switch-generated packets join the ECN
       // loop too (and the engine reflects CNPs to the memory hosts).
       ec.ecn_capable = cfg.dcqcn.enabled;
@@ -148,7 +147,7 @@ struct ScaleHarness {
       COWBIRD_CHECK(cfg.paradigm == Paradigm::kCowbird);
       spot::SpotAgent::Config ac = cfg.agent;
       ac.costs = cfg.costs;
-      ac.telemetry = HubFor(bed.spot_node());
+      ac.telemetry = cfg.telemetry;
       agent = std::make_unique<spot::SpotAgent>(*bed.spot_dev,
                                                 *bed.spot_machine, ac);
       for (int k = 0; k < cfg.clients; ++k) {
@@ -187,10 +186,10 @@ struct ScaleHarness {
     return total;
   }
 
-  // One pre-scheduled coordinator tick (a global event when split): drives
-  // the copy-then-cutover state machine for client 0's region. The cutover
-  // itself — translation flip, client range republish, engine re-attach —
-  // happens inside a single tick, atomic in virtual time.
+  // One pre-scheduled coordinator tick: drives the copy-then-cutover state
+  // machine for client 0's region. The cutover itself — translation flip,
+  // client range republish, engine re-attach — happens inside a single
+  // tick, atomic in virtual time.
   void MigrationTick(Nanos now) {
     switch (migration_stage) {
       case MigrationStage::kArmed: {
@@ -272,8 +271,7 @@ struct ScaleHarness {
     }
   }
 
-  static FanInConfig MakeFanInConfig(const ScaleWorkloadConfig& config,
-                                     std::vector<int> pack_groups = {}) {
+  static FanInConfig MakeFanInConfig(const ScaleWorkloadConfig& config) {
     FanInConfig fan;
     fan.clients = config.clients;
     fan.memory_servers = config.memory_servers;
@@ -281,9 +279,6 @@ struct ScaleHarness {
     fan.client_groups = config.client_groups;
     fan.client_propagation = config.client_propagation;
     fan.trunk_propagation = config.trunk_propagation;
-    fan.split = config.split;
-    fan.split_workers = config.split_workers;
-    fan.pack_groups = std::move(pack_groups);
     fan.egress_queue_capacity = config.egress_queue_capacity;
     fan.ecn_threshold = config.ecn_threshold;
     fan.pfc = config.pfc;
@@ -292,81 +287,32 @@ struct ScaleHarness {
     return fan;
   }
 
-  // Shard selection: every component binds to the hub of the domain whose
-  // thread mutates its cells.
-  telemetry::Hub* HubFor(net::TopoNodeId node) {
-    return shards.ForDomain(bed.partition.domain_of(node));
-  }
-
   void BindTelemetry() {
     telemetry::Hub* hub = cfg.telemetry;
     if (hub == nullptr) return;
     hub->tracer.SetClock([this] { return bed.sim.Now(); });
-    shards.Reset(hub, bed.partition.domain_count(), [this](int domain) {
-      return telemetry::Clock(
-          [sim = &bed.domains.domain_sim(domain)] { return sim->Now(); });
-    });
-    if (sim::DomainGroup* group = bed.group()) {
-      // Debug builds pin each registry to its domain's worker thread.
-      for (int d = 0; d < bed.partition.domain_count(); ++d) {
-        group->SetDomainStartHook(d, [this, d] {
-          shards.ForDomain(d)->metrics.BindToCurrentThread();
-        });
-      }
-    }
-    auto bind_host = [this](rdma::Device& dev, net::HostNic& nic,
-                            net::TopoNodeId node, net::Switch& attach_sw,
-                            net::TopoNodeId attach_node) {
+    auto bind_host = [this, hub](rdma::Device& dev, net::HostNic& nic,
+                                 net::TopoNodeId node, net::Switch& attach_sw) {
       const std::string& name = bed.topo.node(node).name;
-      dev.BindTelemetry(HubFor(node)->metrics, {{"node", name}});
-      // Link counters mutate on the delivery side: the uplink delivers into
-      // the attachment switch's domain (the group ToR for a two-tier
-      // client), the egress link into the host domain.
+      dev.BindTelemetry(hub->metrics, {{"node", name}});
       net::Link& up = nic.uplink();
       net::Link& down = attach_sw.EgressLink(nic.switch_port());
-      up.BindTelemetry(HubFor(attach_node)->metrics,
-                       {{"link", "uplink[" + name + "]"}});
-      down.BindTelemetry(HubFor(node)->metrics,
-                         {{"link", "egress[" + name + "]"}});
+      up.BindTelemetry(hub->metrics, {{"link", "uplink[" + name + "]"}});
+      down.BindTelemetry(hub->metrics, {{"link", "egress[" + name + "]"}});
       bound_links.push_back(&up);
       bound_links.push_back(&down);
     };
     for (int k = 0; k < cfg.clients; ++k) {
       const auto kk = static_cast<std::size_t>(k);
       bind_host(*bed.client_devs[kk], *bed.client_nics[kk],
-                bed.client_node(k), bed.client_switch(k),
-                bed.client_attach_node(k));
+                bed.client_node(k), bed.client_switch(k));
     }
     for (int m = 0; m < cfg.memory_servers; ++m) {
       const auto mm = static_cast<std::size_t>(m);
       bind_host(*bed.memory_devs[mm], *bed.memory_nics[mm],
-                bed.memory_node(m), bed.sw, bed.switch_node());
+                bed.memory_node(m), bed.sw);
     }
-    bind_host(*bed.spot_dev, *bed.spot_nic, bed.spot_node(), bed.sw,
-              bed.switch_node());
-    if (sim::DomainGroup* group = bed.group()) {
-      // Per-domain epoch accounting, one gauge set per shard so each value
-      // is read on (and attributed to) its own domain. `bed` outlives
-      // `shards` (member order), so the callbacks need no unregistration.
-      // epochs_total / epochs_skipped are deterministic; barrier wait is
-      // wall-clock — the `_wall` suffix marks it for the snapshot-equality
-      // tests to filter.
-      for (int d = 0; d < bed.partition.domain_count(); ++d) {
-        telemetry::MetricRegistry& registry = shards.ForDomain(d)->metrics;
-        const telemetry::Labels labels{{"domain", std::to_string(d)}};
-        registry.RegisterCallbackGauge("sim_epochs_total", labels, [group, d] {
-          return static_cast<std::int64_t>(group->epochs_total(d));
-        });
-        registry.RegisterCallbackGauge(
-            "sim_epochs_skipped", labels, [group, d] {
-              return static_cast<std::int64_t>(group->epochs_skipped(d));
-            });
-        registry.RegisterCallbackGauge(
-            "sim_barrier_wait_ns_wall", labels, [group, d] {
-              return static_cast<std::int64_t>(group->barrier_wait_ns(d));
-            });
-      }
-    }
+    bind_host(*bed.spot_dev, *bed.spot_nic, bed.spot_node(), bed.sw);
   }
 
   sim::SimThread& ThreadFor(int k, int t) {
@@ -381,10 +327,6 @@ struct ScaleHarness {
   ScaleWorkloadConfig cfg;
   FanInTestbed bed;
   std::vector<const rdma::MemoryRegion*> pool_mrs;
-  // Declared before the clients and engines: their destructors unregister
-  // callback gauges against the per-domain shard hubs, so the shards must
-  // outlive them.
-  telemetry::HubShards shards;
   std::vector<std::unique_ptr<core::CowbirdClient>> clients;
   std::unique_ptr<spot::SpotAgent> agent;
   std::unique_ptr<p4::CowbirdP4Engine> p4_engine;
@@ -392,8 +334,7 @@ struct ScaleHarness {
   std::vector<std::vector<std::uint64_t>> ops;  // [client][thread]
   // One latency trace per (client, thread): (completion time, latency)
   // pairs, recorded only when cfg.sample_latency. Traces merge in fixed
-  // (k, t) order after the run so the percentile set is independent of
-  // worker count.
+  // (k, t) order after the run.
   std::vector<std::vector<std::pair<Nanos, Nanos>>> latency_traces;
   std::vector<net::Link*> bound_links;
 
@@ -416,8 +357,7 @@ struct ScaleHarness {
 };
 
 // The async read loop of the hash workload (DriveCowbird), reads only —
-// issue up to `window`, then harvest. Wiring is per (client, thread); the
-// coroutine runs on the client's own domain.
+// issue up to `window`, then harvest. Wiring is per (client, thread).
 sim::Task<void> DriveClient(ScaleHarness& h, int k, int t) {
   sim::SimThread& thread = h.ThreadFor(k, t);
   auto& ctx = h.clients[static_cast<std::size_t>(k)]->thread(t);
@@ -480,47 +420,6 @@ sim::Task<void> DriveClient(ScaleHarness& h, int k, int t) {
   }
 }
 
-// Event-rate profiling for the packed split: a short deterministic pre-run
-// of the same fabric and workload under the one-domain-per-node split, whose
-// per-domain event counts become the rate vector net::PackDomains balances.
-// The pre-run is itself a split run, so its counts — and therefore the
-// packing — are bit-identical for any worker count; and because the banded
-// cross-event keys make outcomes horizon-policy-invariant, the rates need no
-// policy pinning either. Telemetry, latency sampling, and migration are
-// disabled: none of them change event streams, but the pre-run should stay
-// cheap and side-effect-free.
-std::vector<int> PackGroupsFor(const ScaleWorkloadConfig& config) {
-  constexpr Nanos kProfileWindow = Micros(100);
-  ScaleWorkloadConfig prof = config;
-  prof.packed = false;
-  prof.telemetry = nullptr;
-  prof.sample_latency = false;
-  prof.migrate = false;
-  ScaleHarness h(prof);
-  for (int k = 0; k < prof.clients; ++k) {
-    sim::Simulation& csim = h.bed.domains.sim_for(h.bed.client_node(k));
-    for (int t = 0; t < prof.threads_per_client; ++t) {
-      csim.Spawn(DriveClient(h, k, t));
-    }
-  }
-  h.bed.RunFor(kProfileWindow);
-  // Under the per-node split, domain ids equal node ids (singletons in node
-  // order), so the per-domain counters read out as per-node rates directly.
-  const int n = h.bed.topo.node_count();
-  std::vector<std::uint64_t> rates(static_cast<std::size_t>(n), 0);
-  for (int node = 0; node < n; ++node) {
-    rates[static_cast<std::size_t>(node)] =
-        h.bed.domains.domain_sim(node).EventsProcessed();
-  }
-  net::Topology packed_topo = h.bed.topo;
-  net::PackDomains(packed_topo, rates, config.pack_budget);
-  std::vector<int> groups(static_cast<std::size_t>(n), 0);
-  for (int node = 0; node < n; ++node) {
-    groups[static_cast<std::size_t>(node)] = packed_topo.node(node).group;
-  }
-  return groups;
-}
-
 std::vector<std::uint64_t> PerClientOps(const ScaleHarness& h) {
   std::vector<std::uint64_t> totals;
   totals.reserve(static_cast<std::size_t>(h.cfg.clients));
@@ -537,63 +436,38 @@ std::vector<std::uint64_t> PerClientOps(const ScaleHarness& h) {
 ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
   COWBIRD_CHECK(config.clients >= 1);
   COWBIRD_CHECK(config.memory_servers >= 1);
-  std::vector<int> pack_groups;
-  if (config.split && config.packed) pack_groups = PackGroupsFor(config);
-  ScaleHarness h(config, std::move(pack_groups));
-  if (sim::DomainGroup* group = h.bed.group()) {
-    group->set_horizon_policy(config.horizon_policy);
-  }
+  ScaleHarness h(config);
+  sim::Simulation& sim = h.bed.sim;
   for (int k = 0; k < config.clients; ++k) {
-    sim::Simulation& csim = h.bed.domains.sim_for(h.bed.client_node(k));
     for (int t = 0; t < config.threads_per_client; ++t) {
-      csim.Spawn(DriveClient(h, k, t));
+      sim.Spawn(DriveClient(h, k, t));
     }
   }
 
   if (config.migrate) {
-    // Pre-scheduled coordinator tick train (conservative PDES forbids
-    // rescheduling a global event from inside one): one tick every
-    // kMigrateTick from migrate_start to the end of the run.
+    // The pre-scheduled coordinator tick train (see kMigrateTick): one tick
+    // every kMigrateTick from migrate_start to the end of the run.
     for (Nanos when = config.migrate_start;
          when < config.warmup + config.measure; when += kMigrateTick) {
-      if (sim::DomainGroup* group = h.bed.group()) {
-        group->ScheduleGlobal(when, [&h, when] { h.MigrationTick(when); });
-      } else {
-        h.bed.sim.ScheduleAt(when, [&h, when] { h.MigrationTick(when); });
-      }
+      sim.ScheduleAt(when, [&h, when] { h.MigrationTick(when); });
     }
   }
 
-  sim::DomainGroup* group = h.bed.group();
-  auto total_skipped = [&h, group] {
-    std::uint64_t total = 0;
-    for (int d = 0; d < h.bed.partition.domain_count(); ++d) {
-      total += group->epochs_skipped(d);
-    }
-    return total;
-  };
-  h.bed.RunFor(config.warmup);
+  sim.RunFor(config.warmup);
   const std::vector<std::uint64_t> warm = PerClientOps(h);
-  const Nanos t0 = h.bed.domains.Now();
-  const std::uint64_t events0 = h.bed.EventsProcessed();
-  const std::uint64_t epochs0 = group != nullptr ? group->epochs() : 0;
-  const std::uint64_t skipped0 = group != nullptr ? total_skipped() : 0;
-  h.bed.RunFor(config.measure);
-  const Nanos elapsed = h.bed.domains.Now() - t0;
+  const Nanos t0 = sim.Now();
+  const std::uint64_t events0 = sim.EventsProcessed();
+  sim.RunFor(config.measure);
+  const Nanos elapsed = sim.Now() - t0;
 
   ScaleWorkloadResult result;
-  result.domains = h.bed.partition.domain_count();
-  if (group != nullptr) {
-    result.epochs = group->epochs() - epochs0;
-    result.epochs_skipped = total_skipped() - skipped0;
-  }
   result.client_ops = PerClientOps(h);
   for (int k = 0; k < config.clients; ++k) {
     const auto kk = static_cast<std::size_t>(k);
     result.client_ops[kk] -= warm[kk];
     result.ops += result.client_ops[kk];
   }
-  result.sim_events = h.bed.EventsProcessed() - events0;
+  result.sim_events = sim.EventsProcessed() - events0;
   result.elapsed = elapsed;
   result.mops = Mops(result.ops, elapsed);
 
@@ -685,7 +559,6 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
 
   if (config.telemetry != nullptr) {
     result.telemetry = config.telemetry->metrics.TakeSnapshot();
-    h.shards.MergeInto(result.telemetry);
   }
   return result;
 }

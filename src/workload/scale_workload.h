@@ -5,10 +5,10 @@
 // serving K instances (fan-in), or the P4 engine on the switch.
 //
 // The default shape is the 16-node scaling fabric of the ROADMAP: 12
-// clients + 2 memory servers + 1 spot host + 1 switch. With `split` the
-// testbed partitions one PDES domain per node; a split run's per-client
-// operation counts are bit-identical for any worker count, which the
-// scale tests and the sim_throughput split-scaling section pin.
+// clients + 2 memory servers + 1 spot host + 1 switch; `client_groups`
+// turns it into the two-tier fabric. Every node runs on one event loop, so
+// a run's per-client operation counts are a pure function of the config,
+// which the workload tests pin.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 
 #include "common/units.h"
 #include "rdma/params.h"
-#include "sim/parallel.h"
 #include "spot/agent.h"
 #include "telemetry/hub.h"
 #include "workload/hash_workload.h"
@@ -37,14 +36,11 @@ struct ScaleWorkloadConfig {
   // Back-off between completion polls while the window is full and nothing
   // has finished. The default spins hard; completions are probe-paced
   // (micro-seconds end to end), so coarser values model a client that
-  // parks instead of busy-polling — and stop the idle polls from flooring
-  // every domain's epoch horizon at the client-link lookahead.
+  // parks instead of busy-polling.
   Nanos poll_idle = 300;
   // Per-client increment on top of poll_idle (client k parks for
   // poll_idle + k * poll_jitter). Jittered back-off is how real fleets
-  // avoid herd synchronization; here it also decorrelates the poll streams
-  // so the per-group epoch horizons see sparse local activity instead of
-  // fabric-wide lockstep bursts. Deterministic: a function of the client
+  // avoid herd synchronization. Deterministic: a function of the client
   // index only.
   Nanos poll_jitter = 0;
   Nanos warmup = Micros(200);
@@ -53,8 +49,7 @@ struct ScaleWorkloadConfig {
   spot::SpotAgent::Config agent;
   // kCowbirdP4 only: overrides the engine's probe pacing (0 keeps the
   // engine default of one probe per 2 us). Sparse probing models a switch
-  // pipeline that amortizes ring fetches; it also keeps the probe packets
-  // from being the densest event stream in every rack neighborhood.
+  // pipeline that amortizes ring fetches.
   Nanos p4_probe_interval = 0;
   rdma::CostModel costs;
   // Two-tier fabric: > 1 spreads the clients over this many per-group ToR
@@ -62,34 +57,16 @@ struct ScaleWorkloadConfig {
   // default keeps the flat single-switch fan-in.
   int client_groups = 1;
   // Client-uplink propagation delay; 0 keeps the fabric profile's uniform
-  // link_propagation. Short in-rack DACs (tens of ns) make the lookahead
-  // graph heterogeneous, which is where per-edge horizons pull away from
-  // the global min (FanInConfig::client_propagation).
+  // link_propagation. Short in-rack DACs are tens of ns
+  // (FanInConfig::client_propagation).
   Nanos client_propagation = 0;
   // ToR <-> core trunk propagation; 0 keeps the fabric profile's uniform
   // link_propagation. Hall-scale optical runs are an order of magnitude
-  // longer than in-rack DACs (FanInConfig::trunk_propagation); the wider
-  // the trunk lookahead, the coarser the per-edge epoch steps each client
-  // group can take independently of the core's event density.
+  // longer than in-rack DACs (FanInConfig::trunk_propagation).
   Nanos trunk_propagation = 0;
-  // One PDES domain per topology node, executed by `split_workers` threads
-  // (0 → hardware concurrency). Bit-deterministic for any worker count.
-  bool split = false;
-  int split_workers = 0;
-  // Split only: pack the per-node domains down to `pack_budget` domains
-  // (net::PackDomains) using per-node event rates measured by a short
-  // deterministic profiling pre-run. The budget is an explicit constant —
-  // never the worker count — so a packed run's outcome stays bit-identical
-  // for any number of workers.
-  bool packed = false;
-  int pack_budget = 8;
-  // Split only: the epoch-horizon policy. kPerEdge (default) computes
-  // per-domain LBTS horizons at each barrier; kGlobalMin is the historical
-  // single min-lookahead horizon, kept selectable for A/B epoch accounting.
-  // Outcomes are policy-invariant; only epoch counts move.
-  sim::HorizonPolicy horizon_policy = sim::HorizonPolicy::kPerEdge;
-  // Optional telemetry: sharded per domain (telemetry::HubShards) and merged
-  // N-way into the caller's hub after the run.
+  // Optional telemetry: every device, link, client and engine binds to this
+  // hub, and the run's final metric state comes back in
+  // ScaleWorkloadResult::telemetry.
   telemetry::Hub* telemetry = nullptr;
   // Incast: every client targets memory server 0 instead of k % M, so all
   // K client flows converge on one switch egress port.
@@ -126,13 +103,6 @@ struct ScaleWorkloadResult {
   std::uint64_t sim_events = 0;
   Nanos elapsed = 0;
   double mops = 0;
-  // Split-run epoch accounting over the measure window (zero when serial).
-  // `epochs` counts barrier rounds; `epochs_skipped` sums the per-domain
-  // rounds a domain sat out because its horizon granted no work. Both are
-  // deterministic, so the horizon A/B benchmarks can gate on them.
-  std::uint64_t epochs = 0;
-  std::uint64_t epochs_skipped = 0;
-  int domains = 0;
   telemetry::Snapshot telemetry;  // filled when config.telemetry was set
   // Measure-window latency percentiles (only when config.sample_latency).
   Nanos p50_latency = 0;

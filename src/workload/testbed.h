@@ -2,37 +2,24 @@
 // a compute node (16 logical cores, as Xeon Silver 4110 with HT), a memory
 // pool node, a spot node (1 core granted to the Cowbird-Spot agent), and a
 // bystander node for contending traffic (Figure 14). All links 100 Gbps
-// except the bystander's 25 Gbps NIC, matching the paper's setup.
-//
-// Domains are derived from an explicit net::Topology: every host and the
-// switch is a topology node, every attachment an edge carrying its
-// propagation delay. With `split_domains` the compute host partitions into
-// its own PDES domain while the switch and the memory/spot/bystander hosts
-// fuse into a second one — the PR 5 two-way cut expressed as the trivial
-// grouping of the general partitioner. The cut links' propagation delay is
-// the conservative lookahead. In the default serial mode the whole graph is
-// one partition group: `esim` aliases `sim` and every construction and
-// schedule happens exactly as before — the chaos parity goldens pin this.
+// except the bystander's 25 Gbps NIC, matching the paper's setup. Every
+// host, NIC and the switch run on the testbed's one Simulation.
 //
 // FanInTestbed below generalizes the same wiring to K compute clients and M
 // memory servers around one switch (plus a spot host): the rack-size
-// fan-in fabric the scaling workload runs on, with one domain per node when
-// split.
+// fan-in fabric the scaling workload runs on, optionally two-tier.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/check.h"
 #include "common/sparse_memory.h"
 #include "net/switch.h"
 #include "net/topology.h"
 #include "rdma/device.h"
 #include "rdma/params.h"
-#include "sim/parallel.h"
 #include "sim/simulation.h"
 #include "sim/thread.h"
 
@@ -44,23 +31,9 @@ struct Testbed {
   static constexpr net::NodeId kSpotId = 3;
   static constexpr net::NodeId kBystanderId = 4;
 
-  // Topology node ids (node 0 first → compute is always domain 0).
-  static constexpr net::TopoNodeId kComputeNode = 0;
-  static constexpr net::TopoNodeId kSwitchNode = 1;
-  static constexpr net::TopoNodeId kMemoryNode = 2;
-  static constexpr net::TopoNodeId kSpotNode = 3;
-  static constexpr net::TopoNodeId kBystanderNode = 4;
-
   rdma::FabricParams fabric;
   rdma::NicConfig nic_config;
-  sim::Simulation sim;  // compute-node domain (domain 0 when split)
-  net::Topology topo;
-  net::Partition partition;
-  net::FabricDomains domains;
-  // Engine-side event loop: a real second Simulation when split, otherwise
-  // a reference back to `sim` so serial wiring is byte-identical.
-  sim::Simulation& esim;
-  sim::DomainGroup* group;  // null when serial
+  sim::Simulation sim;
   net::Switch sw;
   net::HostNic compute_nic;
   net::HostNic memory_nic;
@@ -76,83 +49,34 @@ struct Testbed {
   sim::Machine memory_machine;
   sim::Machine spot_machine;
 
-  static net::Topology BuildTopo(Nanos propagation, bool split_domains) {
-    net::Topology topo;
-    const net::TopoNodeId compute = topo.AddNode(
-        net::TopoNodeKind::kComputeHost, "compute", kComputeId);
-    const net::TopoNodeId tor =
-        topo.AddNode(net::TopoNodeKind::kSwitch, "switch");
-    const net::TopoNodeId memory =
-        topo.AddNode(net::TopoNodeKind::kMemoryServer, "memory", kMemoryId);
-    const net::TopoNodeId spot =
-        topo.AddNode(net::TopoNodeKind::kSpotHost, "spot", kSpotId);
-    const net::TopoNodeId bystander = topo.AddNode(
-        net::TopoNodeKind::kBystanderHost, "bystander", kBystanderId);
-    topo.AddEdge(compute, tor, propagation);
-    topo.AddEdge(memory, tor, propagation);
-    topo.AddEdge(spot, tor, propagation);
-    topo.AddEdge(bystander, tor, propagation);
-    if (split_domains) {
-      // The two-way cut at the compute attachment: compute alone, engine
-      // side fused. The general partitioner reduces to PR 5's layout.
-      topo.SetGroup(compute, 0);
-      topo.SetGroup(tor, 1);
-      topo.SetGroup(memory, 1);
-      topo.SetGroup(spot, 1);
-      topo.SetGroup(bystander, 1);
-    } else {
-      topo.GroupAll(0);
-    }
-    return topo;
-  }
-
   explicit Testbed(int compute_cores = 16,
-                   BitRate compute_uplink = BitRate::Gbps(100),
-                   bool split_domains = false, int split_workers = 0)
-      : topo(BuildTopo(fabric.link_propagation, split_domains)),
-        partition(net::PartitionTopology(topo)),
-        // Domain registration happens here, before ConnectTo: SetDestination
-        // inspects domain ids to recognize the cut and register its CutEdge.
-        domains(sim, partition, split_workers),
-        esim(domains.sim_for(kSwitchNode)),
-        group(domains.group()),
-        sw(esim,
+                   BitRate compute_uplink = BitRate::Gbps(100))
+      : sw(sim,
            net::Switch::Config{.pipeline_latency = fabric.switch_pipeline}),
         compute_nic(sim, kComputeId, compute_uplink,
                     fabric.link_propagation),
-        memory_nic(esim, kMemoryId, fabric.host_link,
+        memory_nic(sim, kMemoryId, fabric.host_link,
                    fabric.link_propagation),
-        spot_nic(esim, kSpotId, fabric.host_link, fabric.link_propagation),
-        bystander_nic(esim, kBystanderId, BitRate::Gbps(25),
+        spot_nic(sim, kSpotId, fabric.host_link, fabric.link_propagation),
+        bystander_nic(sim, kBystanderId, BitRate::Gbps(25),
                       fabric.link_propagation),
         compute_dev(compute_nic, compute_mem, nic_config),
         memory_dev(memory_nic, memory_mem, nic_config),
         spot_dev(spot_nic, spot_mem, nic_config),
         compute_machine(sim, compute_cores),
-        memory_machine(esim, 8),
-        spot_machine(esim, 1) {
-    COWBIRD_CHECK(partition.domain_count() == (split_domains ? 2 : 1));
-    COWBIRD_CHECK(!partition.zero_lookahead_error());
-    compute_nic.ConnectTo(sw, "compute");
-    memory_nic.ConnectTo(sw, "memory");
-    spot_nic.ConnectTo(sw, "spot");
-    bystander_nic.ConnectTo(sw, "bystander");
+        memory_machine(sim, 8),
+        spot_machine(sim, 1) {
+    compute_nic.ConnectTo(sw);
+    memory_nic.ConnectTo(sw);
+    spot_nic.ConnectTo(sw);
+    bystander_nic.ConnectTo(sw);
   }
-
-  bool split() const { return group != nullptr; }
-
-  // Run the whole testbed — the group when split, the single loop otherwise.
-  void Run() { domains.Run(); }
-  void RunFor(Nanos duration) { domains.RunFor(duration); }
-  std::uint64_t EventsProcessed() const { return domains.EventsProcessed(); }
 };
 
 // K compute clients and M memory servers fanning into one top-of-rack
 // switch, plus one spot host running the offload engine — the rack-size
 // fabric of the scaling workload (defaults: 12 + 2 + spot + switch = 16
-// nodes). When `split`, every node partitions into its own PDES domain
-// (N = clients + memory_servers + 2) executed by `split_workers` threads;
-// serial fuses the whole graph into one domain on the caller's loop.
+// nodes), described as a net::Topology and run on one event loop.
 struct FanInConfig {
   int clients = 12;
   int memory_servers = 2;
@@ -168,25 +92,13 @@ struct FanInConfig {
   BitRate trunk_rate = BitRate::Gbps(400);  // group ToR <-> core
   // Propagation delay of the ToR <-> core trunks; 0 keeps the fabric
   // profile's link_propagation. Hall-scale core runs are optical and an
-  // order of magnitude longer than in-rack cabling, so raising this widens
-  // the lookahead gap between the trunk edges and the client edges — the
-  // per-edge horizons then let each group's neighborhood advance in
-  // trunk-sized steps while the global-min policy stays pinned to the
-  // shortest link in the whole fabric.
+  // order of magnitude longer than in-rack cabling.
   Nanos trunk_propagation = 0;
   // Propagation delay of the client uplinks; 0 keeps the fabric profile's
   // link_propagation everywhere. In-rack client <-> ToR cabling is a few
   // meters of DAC (~5 ns/m), an order of magnitude shorter than the
-  // rack-to-rack runs — the asymmetry the per-edge epoch horizons exploit,
-  // since only the neighborhoods adjacent to a short link inherit its
-  // tighter lookahead.
+  // rack-to-rack runs.
   Nanos client_propagation = 0;
-  bool split = false;
-  int split_workers = 0;
-  // Split only: explicit per-node partition-group tags (one per topology
-  // node, e.g. the output of net::PackDomains over a profiled rate vector).
-  // Empty keeps the one-domain-per-node split.
-  std::vector<int> pack_groups;
   // Congestion realism knobs. The defaults reproduce the uncontended
   // fabric byte-for-byte: unbounded-feeling queues, no marking, no PFC,
   // DCQCN off. An incast experiment shrinks the queue, turns marking or
@@ -206,10 +118,8 @@ struct FanInTestbed {
   FanInConfig cfg;
   rdma::FabricParams fabric;
   rdma::NicConfig nic_config;
-  sim::Simulation sim;  // client 0's event loop (domain 0 when split)
-  net::Topology topo;
-  net::Partition partition;
-  net::FabricDomains domains;
+  sim::Simulation sim;
+  net::Topology topo;  // names the nodes; telemetry labels series by them
   net::Switch sw;
   // Two-tier only (cfg.client_groups > 1): one leaf switch per client
   // group, each trunked into the core.
@@ -228,10 +138,9 @@ struct FanInTestbed {
   std::unique_ptr<rdma::Device> spot_dev;
   std::unique_ptr<sim::Machine> spot_machine;
 
-  // Topology node ids: clients first (client 0 → domain 0), then the core
-  // switch, the memory servers, and the spot host. Two-tier group ToRs are
-  // appended after the legacy nodes so every id here is valid for any group
-  // count.
+  // Topology node ids: clients first, then the core switch, the memory
+  // servers, and the spot host. Two-tier group ToRs are appended after the
+  // legacy nodes so every id here is valid for any group count.
   net::TopoNodeId client_node(int k) const { return k; }
   net::TopoNodeId switch_node() const { return cfg.clients; }
   net::TopoNodeId memory_node(int m) const { return cfg.clients + 1 + m; }
@@ -246,13 +155,6 @@ struct FanInTestbed {
     return k / per_group;
   }
   int group_of_client(int k) const { return GroupOfClient(cfg, k); }
-  // The switch node a client's NIC attaches to: its group ToR when
-  // two-tier, the core otherwise. This is where a client's uplink delivers,
-  // i.e. the domain its uplink telemetry must bind against.
-  net::TopoNodeId client_attach_node(int k) const {
-    return cfg.client_groups > 1 ? group_tor_node(group_of_client(k))
-                                 : switch_node();
-  }
   // Fabric addresses (switch routing).
   net::NodeId client_id(int k) const {
     return static_cast<net::NodeId>(1 + k);
@@ -317,51 +219,24 @@ struct FanInTestbed {
         topo.AddEdge(first_gtor + g, tor, trunk_prop);
       }
     }
-    if (!cfg.split) {
-      topo.GroupAll(0);
-    } else if (!cfg.pack_groups.empty()) {
-      // A packed split: the caller ran net::PackDomains over this same
-      // graph and hands back the per-node group tags.
-      COWBIRD_CHECK(static_cast<int>(cfg.pack_groups.size()) ==
-                    topo.node_count());
-      for (net::TopoNodeId n = 0; n < topo.node_count(); ++n) {
-        topo.SetGroup(n, cfg.pack_groups[static_cast<std::size_t>(n)]);
-      }
-    }
-    // else: split with empty pack_groups → one domain per node.
     return topo;
   }
 
   explicit FanInTestbed(const FanInConfig& config)
       : cfg(config),
         topo(BuildTopo(cfg, fabric.link_propagation)),
-        partition(net::PartitionTopology(topo)),
-        domains(sim, partition, cfg.split_workers),
-        sw(domains.sim_for(switch_node()), MakeSwitchConfig(cfg, fabric)) {
-    int expected_domains = 1;
-    if (cfg.split) {
-      expected_domains = topo.node_count();
-      if (!cfg.pack_groups.empty()) {
-        expected_domains = 0;
-        for (const int g : cfg.pack_groups) {
-          expected_domains = std::max(expected_domains, g + 1);
-        }
-      }
-    }
-    COWBIRD_CHECK(partition.domain_count() == expected_domains);
-    COWBIRD_CHECK(!partition.zero_lookahead_error());
+        sw(sim, MakeSwitchConfig(cfg, fabric)) {
     // Two-tier leaves: built (and trunked) before any host connects, so the
     // flat fabric's core port numbering — clients, memories, spot — is
     // reproduced on each switch that hosts attach to.
     if (cfg.client_groups > 1) {
       for (int g = 0; g < cfg.client_groups; ++g) {
-        group_tors.push_back(std::make_unique<net::Switch>(
-            domains.sim_for(group_tor_node(g)), MakeSwitchConfig(cfg, fabric)));
+        group_tors.push_back(
+            std::make_unique<net::Switch>(sim, MakeSwitchConfig(cfg, fabric)));
         trunks.push_back(net::ConnectTrunk(
             sw, *group_tors.back(), cfg.trunk_rate,
             cfg.trunk_propagation > 0 ? cfg.trunk_propagation
-                                      : fabric.link_propagation,
-            "tor", topo.node(group_tor_node(g)).name));
+                                      : fabric.link_propagation));
         // Leaf default-routes everything unknown (memories, spot, the
         // engine's switch address) up its trunk; the core routes each
         // client block down the matching trunk.
@@ -379,43 +254,37 @@ struct FanInTestbed {
                                   ? cfg.client_propagation
                                   : fabric.link_propagation;
     for (int k = 0; k < cfg.clients; ++k) {
-      sim::Simulation& csim = domains.sim_for(client_node(k));
       client_nics.push_back(std::make_unique<net::HostNic>(
-          csim, client_id(k), cfg.client_uplink, client_prop));
+          sim, client_id(k), cfg.client_uplink, client_prop));
       client_mems.push_back(std::make_unique<SparseMemory>());
       client_devs.push_back(std::make_unique<rdma::Device>(
           *client_nics.back(), *client_mems.back(), nic_config));
       client_machines.push_back(
-          std::make_unique<sim::Machine>(csim, cfg.client_cores));
+          std::make_unique<sim::Machine>(sim, cfg.client_cores));
     }
     for (int m = 0; m < cfg.memory_servers; ++m) {
-      sim::Simulation& msim = domains.sim_for(memory_node(m));
       memory_nics.push_back(std::make_unique<net::HostNic>(
-          msim, memory_id(m), fabric.host_link, fabric.link_propagation));
+          sim, memory_id(m), fabric.host_link, fabric.link_propagation));
       memory_mems.push_back(std::make_unique<SparseMemory>());
       memory_devs.push_back(std::make_unique<rdma::Device>(
           *memory_nics.back(), *memory_mems.back(), nic_config));
       memory_machines.push_back(
-          std::make_unique<sim::Machine>(msim, cfg.memory_cores));
+          std::make_unique<sim::Machine>(sim, cfg.memory_cores));
     }
-    sim::Simulation& ssim = domains.sim_for(spot_node());
     spot_nic = std::make_unique<net::HostNic>(
-        ssim, spot_id(), fabric.host_link, fabric.link_propagation);
+        sim, spot_id(), fabric.host_link, fabric.link_propagation);
     spot_mem = std::make_unique<SparseMemory>();
     spot_dev =
         std::make_unique<rdma::Device>(*spot_nic, *spot_mem, nic_config);
-    spot_machine = std::make_unique<sim::Machine>(ssim, 1);
+    spot_machine = std::make_unique<sim::Machine>(sim, 1);
 
     for (int k = 0; k < cfg.clients; ++k) {
-      client_nics[static_cast<std::size_t>(k)]->ConnectTo(
-          client_switch(k), topo.node(client_node(k)).name,
-          topo.node(client_attach_node(k)).name);
+      client_nics[static_cast<std::size_t>(k)]->ConnectTo(client_switch(k));
     }
     for (int m = 0; m < cfg.memory_servers; ++m) {
-      memory_nics[static_cast<std::size_t>(m)]->ConnectTo(
-          sw, topo.node(memory_node(m)).name, "tor");
+      memory_nics[static_cast<std::size_t>(m)]->ConnectTo(sw);
     }
-    spot_nic->ConnectTo(sw, "spot", "tor");
+    spot_nic->ConnectTo(sw);
   }
 
   // The switch a client's NIC attaches to (its group ToR when two-tier).
@@ -431,13 +300,6 @@ struct FanInTestbed {
     for (const auto& leaf : group_tors) total += leaf->total_drops();
     return total;
   }
-
-  bool split() const { return domains.group() != nullptr; }
-  sim::DomainGroup* group() { return domains.group(); }
-
-  void Run() { domains.Run(); }
-  void RunFor(Nanos duration) { domains.RunFor(duration); }
-  std::uint64_t EventsProcessed() const { return domains.EventsProcessed(); }
 };
 
 }  // namespace cowbird::workload

@@ -3,7 +3,6 @@
 //
 //   chaos_sweep [--engine spot|p4|both] [--seeds N] [--start S]
 //               [--trace-dir DIR] [--break-fence] [--jobs N]
-//               [--split] [--split-workers N] [--split-scope pair|node|packed]
 //               [--congestion none|incast|victim|pause_storm]
 //               [--migration]
 //
@@ -13,13 +12,7 @@
 // trace into --trace-dir and the sweep exits non-zero.
 //
 // --jobs runs that many simulations concurrently (default: hardware
-// concurrency). The report is byte-identical for any jobs value. --split
-// executes each run domain-split (the parallel intra-sim datapath) instead
-// of the golden-pinned serial loop; --split-scope node partitions one PDES
-// domain per topology node instead of the default two-way cut, and
-// --split-scope packed runs the per-node domains through net::PackDomains
-// (budget 2, static kind-weight rates). Every scope yields the same report
-// bytes — the partition never leaks into outcomes.
+// concurrency). The report is byte-identical for any jobs value.
 //
 // --congestion layers a shared-fabric congestion scenario onto every
 // seed's fault plan (finite switch queues, ECN+DCQCN, or a PFC pause
@@ -49,7 +42,7 @@
 int main(int argc, char** argv) {
   using namespace cowbird::chaos;
   SweepConfig config;
-  cowbird::bench::ParallelFlags parallel(/*with_split=*/true);
+  cowbird::bench::ParallelFlags parallel;
   for (int i = 1; i < argc; ++i) {
     if (parallel.Consume(argc, argv, i)) {
       if (!parallel.ok()) return 2;
@@ -102,11 +95,6 @@ int main(int argc, char** argv) {
     }
   }
   config.jobs = parallel.jobs;
-  config.split = parallel.split;
-  config.split_workers = parallel.split_workers;
-  config.split_scope = parallel.packed_scope()    ? SplitScope::kPacked
-                       : parallel.per_node_scope() ? SplitScope::kPerNode
-                                                   : SplitScope::kPair;
   if (const char* env = std::getenv("COWBIRD_TEST_SEED")) {
     config.start = std::strtoull(env, nullptr, 10);
     config.seeds = 1;

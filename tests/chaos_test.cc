@@ -4,11 +4,14 @@
 // proves the checker can catch a real consistency bug.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "chaos/fault_plan.h"
 #include "chaos/history.h"
 #include "chaos/runner.h"
+#include "sim/parallel.h"
 #include "test_seed.h"
 
 namespace cowbird::chaos {
@@ -189,6 +192,52 @@ TEST(ChaosRunTest, InjectedFaultCountersMatchDecisionsExactly) {
   EXPECT_TRUE(result.counters_exact);
   EXPECT_TRUE(result.violations.empty()) << Report(result);
   EXPECT_GT(result.reads_checked, 50u);
+}
+
+// Faulted chaos runs split across ParallelFor workers, as chaos_sweep
+// --jobs runs them: each run draws only from its own fault stream, so its
+// injection decisions, crashes and history are the same for any worker
+// count. Seed 3 schedules an engine crash (odd seeds do); seed 4 does not.
+TEST(ChaosSplitTest, BitIdenticalAcrossWorkerCountsWithFaultsAndCrashes) {
+  std::vector<ChaosOptions> runs;
+  for (EngineKind engine : {EngineKind::kSpot, EngineKind::kP4}) {
+    for (std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{4}}) {
+      runs.push_back(SweepOptions(engine, seed));
+    }
+  }
+  auto sweep = [&](int workers) {
+    std::vector<ChaosResult> results(runs.size());
+    sim::ParallelFor(workers, static_cast<int>(runs.size()), [&](int i) {
+      const auto k = static_cast<std::size_t>(i);
+      results[k] = RunChaos(runs[k]);
+    });
+    return results;
+  };
+  const std::vector<ChaosResult> one = sweep(1);
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    EXPECT_TRUE(one[k].Passed()) << Report(one[k]);
+    if (runs[k].seed % 2 == 1) {
+      EXPECT_GT(one[k].crashes_executed, 0u);
+    }
+  }
+  for (const int workers : {2, 4}) {
+    const std::vector<ChaosResult> many = sweep(workers);
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      SCOPED_TRACE(std::string(EngineKindName(runs[k].engine)) + " seed " +
+                   std::to_string(runs[k].seed) + " workers " +
+                   std::to_string(workers));
+      EXPECT_TRUE(many[k].Passed()) << Report(many[k]);
+      EXPECT_EQ(many[k].history.size(), one[k].history.size());
+      EXPECT_EQ(many[k].reads_checked, one[k].reads_checked);
+      EXPECT_EQ(many[k].writes_completed, one[k].writes_completed);
+      EXPECT_EQ(many[k].faults_injected, one[k].faults_injected);
+      EXPECT_EQ(many[k].decided_dropped, one[k].decided_dropped);
+      EXPECT_EQ(many[k].decided_duplicated, one[k].decided_duplicated);
+      EXPECT_EQ(many[k].decided_reordered, one[k].decided_reordered);
+      EXPECT_EQ(many[k].decided_delayed, one[k].decided_delayed);
+      EXPECT_EQ(many[k].crashes_executed, one[k].crashes_executed);
+    }
+  }
 }
 
 class ChaosEngineTest : public ::testing::TestWithParam<EngineKind> {};

@@ -1,12 +1,17 @@
 // Live region migration under traffic (DESIGN.md §14): the chaos scenario
 // that copies the region's hot range to a second memory server and cuts
 // the translation entry over mid-run, checked by the same linearizability
-// harness as the crash path — under packet faults, engine crashes, incast
-// congestion, and domain-split execution.
+// harness as the crash path — under packet faults, engine crashes, and
+// incast congestion.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "chaos/fault_plan.h"
 #include "chaos/runner.h"
+#include "sim/parallel.h"
 #include "workload/scale_workload.h"
 
 namespace cowbird {
@@ -56,31 +61,39 @@ TEST(MigrationChaos, CleanCutoverDuringIncastCongestion) {
   }
 }
 
-// Domain-split migrating runs are bit-identical for any worker count: the
-// coordinator ticks are global events, so the cutover lands on the same
-// virtual-time edge regardless of how many threads drive the domains.
+// A migrating sweep split across ParallelFor workers: each run keeps its
+// own fault stream, copy stream and cutover, so every run's outcome is the
+// same for any worker count.
 TEST(MigrationChaos, SplitBitIdenticalAcrossWorkerCounts) {
-  for (chaos::EngineKind engine :
-       {chaos::EngineKind::kSpot, chaos::EngineKind::kP4}) {
-    chaos::ChaosOptions opt = MigratingOptions(engine, 3);
-    opt.mode = chaos::ExecutionMode::kSplit;
-    opt.split_workers = 1;
-    const chaos::ChaosResult one = chaos::RunChaos(opt);
-    EXPECT_TRUE(one.Passed()) << chaos::EngineKindName(engine);
-    EXPECT_EQ(one.migrations_executed, 1u);
-    for (const int workers : {2, 4}) {
-      opt.split_workers = workers;
-      const chaos::ChaosResult many = chaos::RunChaos(opt);
-      EXPECT_TRUE(many.Passed())
-          << chaos::EngineKindName(engine) << " workers " << workers;
-      EXPECT_EQ(many.history.size(), one.history.size());
-      EXPECT_EQ(many.reads_checked, one.reads_checked);
-      EXPECT_EQ(many.writes_completed, one.writes_completed);
-      EXPECT_EQ(many.faults_injected, one.faults_injected);
-      EXPECT_EQ(many.crashes_executed, one.crashes_executed);
-      EXPECT_EQ(many.migrations_executed, one.migrations_executed);
-      EXPECT_EQ(many.migrate_bytes_copied, one.migrate_bytes_copied);
-      EXPECT_EQ(many.migrate_dirty_marks, one.migrate_dirty_marks);
+  const std::vector<chaos::EngineKind> engines = {chaos::EngineKind::kSpot,
+                                                  chaos::EngineKind::kP4};
+  auto sweep = [&](int workers) {
+    std::vector<chaos::ChaosResult> results(engines.size());
+    sim::ParallelFor(workers, static_cast<int>(engines.size()), [&](int i) {
+      const auto k = static_cast<std::size_t>(i);
+      results[k] = chaos::RunChaos(MigratingOptions(engines[k], 3));
+    });
+    return results;
+  };
+  const std::vector<chaos::ChaosResult> one = sweep(1);
+  for (std::size_t k = 0; k < engines.size(); ++k) {
+    EXPECT_TRUE(one[k].Passed()) << chaos::EngineKindName(engines[k]);
+    EXPECT_EQ(one[k].migrations_executed, 1u);
+  }
+  for (const int workers : {2, 4}) {
+    const std::vector<chaos::ChaosResult> many = sweep(workers);
+    for (std::size_t k = 0; k < engines.size(); ++k) {
+      SCOPED_TRACE(std::string(chaos::EngineKindName(engines[k])) +
+                   " workers " + std::to_string(workers));
+      EXPECT_TRUE(many[k].Passed());
+      EXPECT_EQ(many[k].history.size(), one[k].history.size());
+      EXPECT_EQ(many[k].reads_checked, one[k].reads_checked);
+      EXPECT_EQ(many[k].writes_completed, one[k].writes_completed);
+      EXPECT_EQ(many[k].faults_injected, one[k].faults_injected);
+      EXPECT_EQ(many[k].crashes_executed, one[k].crashes_executed);
+      EXPECT_EQ(many[k].migrations_executed, one[k].migrations_executed);
+      EXPECT_EQ(many[k].migrate_bytes_copied, one[k].migrate_bytes_copied);
+      EXPECT_EQ(many[k].migrate_dirty_marks, one[k].migrate_dirty_marks);
     }
   }
 }

@@ -1,8 +1,8 @@
 // Unit tests for the telemetry layer: metric registry semantics (label
 // canonicalization, handle dedup, snapshot determinism), virtual-time span
 // tracing, op-lifecycle breakdowns, the Chrome Trace Event export (golden
-// file + structural validator), and the minimal JSON writer/parser the
-// exports are built on.
+// file + structural validator), snapshot merging, and the minimal JSON
+// writer/parser the exports are built on.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -376,6 +376,45 @@ TEST(ValidateChromeTrace, RejectsStructuralViolations) {
       "\"tid\":1,\"dur\":0}]}",
       &error))
       << error;
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot merge (folding the snapshots of runs swept side by side)
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotMergeTest, SumsCollisionsAndKeepsSortedOrder) {
+  MetricRegistry r1;
+  MetricRegistry r2;
+  r1.GetCounter("ops", {{"engine", "a"}}).Add(3);
+  r1.GetCounter("zz_only_r1").Add(1);
+  r1.GetGauge("depth").Set(5);
+  r1.GetHistogram("lat").Observe(2);
+  r1.GetHistogram("lat").Observe(4);
+  r2.GetCounter("ops", {{"engine", "a"}}).Add(4);
+  r2.GetCounter("aa_only_r2").Add(2);
+  r2.GetGauge("depth").Set(7);
+  r2.GetHistogram("lat").Observe(1024);
+
+  Snapshot merged = r1.TakeSnapshot();
+  merged.MergeFrom(r2.TakeSnapshot());
+
+  EXPECT_EQ(merged.CounterValue("ops{engine=a}"), 7u);
+  EXPECT_EQ(merged.CounterValue("aa_only_r2"), 2u);
+  EXPECT_EQ(merged.CounterValue("zz_only_r1"), 1u);
+  EXPECT_EQ(merged.GaugeValue("depth"), 12);
+  const auto* lat = merged.FindHistogram("lat");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->count, 3u);
+  for (std::size_t i = 1; i < merged.counters.size(); ++i) {
+    EXPECT_LT(merged.counters[i - 1].key, merged.counters[i].key);
+  }
+
+  // Merge order onto a fresh aggregate is deterministic: (r1 then r2) from
+  // an empty snapshot equals the snapshot-level merge above.
+  Snapshot again;
+  again.MergeFrom(r1.TakeSnapshot());
+  again.MergeFrom(r2.TakeSnapshot());
+  EXPECT_EQ(again.ToJson(), merged.ToJson());
 }
 
 }  // namespace

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "sim/parallel.h"
+#include "telemetry/hub.h"
 #include "workload/generator.h"
 #include "workload/hash_workload.h"
+#include "workload/scale_workload.h"
 
 namespace cowbird::workload {
 namespace {
@@ -171,6 +178,199 @@ TEST(LatencyProbe, SyncAndCowbirdUnbatchedAreClose) {
   EXPECT_LT(rn.median_us, rs.median_us * 4.0);
   EXPECT_GT(rn.median_us, rs.median_us * 0.8);
   EXPECT_GE(rn.p99_us, rn.median_us);
+}
+
+// ---------------------------------------------------------------------------
+// Rack-scale fan-in workload (workload/scale_workload.h)
+// ---------------------------------------------------------------------------
+
+bool SameOutcome(const ScaleWorkloadResult& a, const ScaleWorkloadResult& b) {
+  return a.client_ops == b.client_ops && a.ops == b.ops &&
+         a.sim_events == b.sim_events && a.elapsed == b.elapsed;
+}
+
+// The 128-client two-tier fabric: 8 groups of 16 clients behind per-group
+// ToRs trunked into the core, 4 memory servers, the P4 engine.
+ScaleWorkloadConfig TwoTierConfig() {
+  ScaleWorkloadConfig c;
+  c.paradigm = Paradigm::kCowbirdP4;
+  c.clients = 128;
+  c.memory_servers = 4;
+  c.client_groups = 8;
+  c.threads_per_client = 1;
+  c.records = 20'000;
+  c.app_compute = Micros(10);
+  c.window = 1;
+  c.poll_idle = Micros(2);
+  c.poll_jitter = 31;
+  c.p4_probe_interval = Micros(4);
+  c.client_propagation = 20;
+  c.trunk_propagation = 600;
+  c.warmup = Micros(50);
+  c.measure = Micros(200);
+  return c;
+}
+
+// Serial pins: per-client op counts and dispatched events of three fabrics.
+// Every run is one event loop, so these are exact; any drift is a change of
+// simulated behavior, not noise.
+TEST(ScaleSimTest, SixteenNodeSpotMatchesSerialPin) {
+  const ScaleWorkloadResult r = RunScaleWorkload(ScaleWorkloadConfig{});
+  EXPECT_EQ(r.client_ops,
+            (std::vector<std::uint64_t>{1606, 1569, 1561, 1557, 1585, 1540,
+                                        1553, 1536, 1552, 1521, 1526, 1514}));
+  EXPECT_EQ(r.ops, 18620u);
+  EXPECT_EQ(r.sim_events, 647297u);
+}
+
+TEST(ScaleSimTest, SixteenNodeP4MatchesSerialPin) {
+  ScaleWorkloadConfig c;
+  c.paradigm = Paradigm::kCowbirdP4;
+  const ScaleWorkloadResult r = RunScaleWorkload(c);
+  EXPECT_EQ(r.client_ops,
+            (std::vector<std::uint64_t>{2677, 2688, 2688, 2688, 2688, 2688,
+                                        2688, 2659, 2636, 2624, 2624, 2654}));
+  EXPECT_EQ(r.ops, 32002u);
+  EXPECT_EQ(r.sim_events, 953694u);
+}
+
+// The only end-to-end run of client_groups > 1: clients 9-58 each retire
+// exactly one op inside the 200 us window, the rest none.
+TEST(ScaleSimTest, TwoTier128ClientFabricMatchesSerialPin) {
+  const ScaleWorkloadResult r = RunScaleWorkload(TwoTierConfig());
+  std::vector<std::uint64_t> want(128, 0);
+  for (int k = 9; k <= 58; ++k) want[static_cast<std::size_t>(k)] = 1;
+  EXPECT_EQ(r.client_ops, want);
+  EXPECT_EQ(r.ops, 50u);
+  EXPECT_EQ(r.sim_events, 17006u);
+}
+
+TEST(ScaleSimTest, DcqcnEnabledButUnmarkedIsByteIdenticalToDefault) {
+  // The default fabric never marks (ecn_threshold = 0), so an enabled
+  // CongestionManager must not shift a single timestamp: unpaced flows
+  // take the identical code path as a congestion-disabled run (the pacing
+  // purity contract in rdma/congestion.h). This is what lets DCQCN be
+  // switched on fleet-wide without re-baselining the uncontended goldens.
+  ScaleWorkloadConfig c;  // 12 clients + 2 memory servers: the 16-node rack
+  c.records = 20'000;
+  c.warmup = Micros(100);
+  c.measure = Micros(400);
+  const ScaleWorkloadResult off = RunScaleWorkload(c);
+  c.dcqcn.enabled = true;
+  const ScaleWorkloadResult on = RunScaleWorkload(c);
+  EXPECT_EQ(on.ecn_marked, 0u);
+  EXPECT_TRUE(SameOutcome(off, on));
+}
+
+// (series count, summed value) of every gauge series named `name`.
+std::pair<int, std::int64_t> GaugeTotal(const telemetry::Snapshot& snap,
+                                        const std::string& name) {
+  std::pair<int, std::int64_t> total{0, 0};
+  for (const auto& gauge : snap.gauges) {
+    if (gauge.key.rfind(name + "{", 0) == 0) {
+      ++total.first;
+      total.second += gauge.value;
+    }
+  }
+  return total;
+}
+
+// A caller hub bound straight into the run: every device, link, client and
+// engine reports into it, and telemetry does not perturb the simulation.
+// The per-name totals were recorded alongside the serial pins (per-series
+// keys carry process-global instance ids, so totals are what is pinned).
+TEST(ScaleSimTest, CallerHubReceivesEveryNodesTelemetry) {
+  Nanos now = 0;
+  telemetry::Hub hub([&now] { return now; });
+  ScaleWorkloadConfig c;
+  c.telemetry = &hub;
+  const ScaleWorkloadResult r = RunScaleWorkload(c);
+  EXPECT_TRUE(SameOutcome(r, RunScaleWorkload(ScaleWorkloadConfig{})));
+
+  const telemetry::Snapshot& snap = r.telemetry;
+  for (const char* link : {"uplink[client0]", "egress[client11]",
+                           "uplink[mem1]", "egress[spot]"}) {
+    const std::string key =
+        std::string("link_packets_delivered{link=") + link + "}";
+    const auto value = snap.GaugeValue(key);
+    ASSERT_TRUE(value.has_value()) << key;
+    EXPECT_GT(*value, 0) << key;
+  }
+  EXPECT_EQ(snap.counters.size(), 53u);
+  EXPECT_EQ(snap.gauges.size(), 451u);
+  // 15 hosts, each with an uplink and an egress link.
+  EXPECT_EQ(GaugeTotal(snap, "link_packets_delivered"),
+            std::make_pair(30, std::int64_t{139604}));
+  EXPECT_EQ(GaugeTotal(snap, "link_bytes_delivered"),
+            std::make_pair(30, std::int64_t{22828680}));
+  EXPECT_EQ(GaugeTotal(snap, "nic_packets_sent"),
+            std::make_pair(15, std::int64_t{69829}));
+  // 12 clients x 2 threads.
+  EXPECT_EQ(GaugeTotal(snap, "client_reads_retired"),
+            std::make_pair(24, std::int64_t{22672}));
+  EXPECT_EQ(GaugeTotal(snap, "engine_ops_completed"),
+            std::make_pair(1, std::int64_t{22725}));
+}
+
+// Telemetry of a sweep: independent runs, each bound to a private hub and
+// run side by side on ParallelFor workers, fold N-way into one caller
+// snapshot through Snapshot::MergeFrom (as perfbench folds its repeats).
+// Every per-name total of the merged snapshot is the sum of the shards',
+// and a shard's totals do not depend on how many workers ran the sweep.
+TEST(ScaleSimTest, TelemetryShardsMergeNWayIntoCallerSnapshot) {
+  constexpr int kShards = 4;
+  const std::vector<std::string> names = {
+      "link_packets_delivered", "nic_packets_sent", "client_reads_retired",
+      "engine_ops_completed"};
+  auto sweep = [&](int workers) {
+    std::vector<telemetry::Snapshot> shards(kShards);
+    sim::ParallelFor(workers, kShards, [&](int i) {
+      Nanos now = 0;
+      telemetry::Hub hub([&now] { return now; });
+      ScaleWorkloadConfig c;
+      c.clients = 4;
+      c.records = 20'000;
+      c.warmup = Micros(50);
+      c.measure = Micros(200);
+      c.seed = static_cast<std::uint64_t>(i) + 1;
+      c.telemetry = &hub;
+      const ScaleWorkloadResult r = RunScaleWorkload(c);
+      EXPECT_GT(r.ops, 0u) << "shard " << i;
+      shards[static_cast<std::size_t>(i)] = r.telemetry;
+    });
+    return shards;
+  };
+  const std::vector<telemetry::Snapshot> one = sweep(1);
+  const std::vector<telemetry::Snapshot> two = sweep(2);
+
+  telemetry::Snapshot merged;
+  for (const telemetry::Snapshot& shard : one) merged.MergeFrom(shard);
+  for (const std::string& name : names) {
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      const std::int64_t total = GaugeTotal(one[i], name).second;
+      EXPECT_GT(total, 0) << name << " shard " << i;
+      EXPECT_EQ(GaugeTotal(two[i], name), GaugeTotal(one[i], name))
+          << name << " shard " << i;
+      sum += total;
+    }
+    EXPECT_EQ(GaugeTotal(merged, name).second, sum) << name;
+  }
+  std::uint64_t counter_sum = 0;
+  for (const telemetry::Snapshot& shard : one) {
+    for (const auto& counter : shard.counters) counter_sum += counter.value;
+  }
+  std::uint64_t merged_counters = 0;
+  for (const auto& counter : merged.counters) merged_counters += counter.value;
+  EXPECT_EQ(merged_counters, counter_sum);
+  bool saw_uplink = false;
+  for (const auto& gauge : merged.gauges) {
+    if (gauge.key.find("uplink[") != std::string::npos) saw_uplink = true;
+  }
+  EXPECT_TRUE(saw_uplink);
+  for (std::size_t i = 1; i < merged.gauges.size(); ++i) {
+    EXPECT_LT(merged.gauges[i - 1].key, merged.gauges[i].key);
+  }
 }
 
 }  // namespace
