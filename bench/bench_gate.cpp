@@ -13,6 +13,9 @@
 //   * allocations_per_op      — datapath heap discipline; fails HIGH only,
 //                               with a small absolute slack so a 0.03 → 0.05
 //                               jitter does not page anyone.
+//   * events_per_op           — dispatched events per op; deterministic and
+//                               the structural cost of the datapath, so it
+//                               must match exactly (zero tolerance).
 //   * mops / latency / etc.   — simulated outcomes, bit-deterministic by
 //                               construction; fail on drift in EITHER
 //                               direction (a drift here is a behavior
@@ -51,6 +54,7 @@ enum class Direction {
   kLowerFails,   // throughput-like
   kHigherFails,  // cost-like
   kBothFail,     // deterministic simulated outcome
+  kExact,        // deterministic structural cost: no tolerance at all
   kIgnored,
 };
 
@@ -66,6 +70,7 @@ Direction DirectionFor(const std::string& metric, bool gate_wall) {
     return gate_wall ? Direction::kLowerFails : Direction::kIgnored;
   }
   if (metric == "allocations_per_op") return Direction::kHigherFails;
+  if (metric == "events_per_op") return Direction::kExact;
   if (metric == "ops" || metric == "wall_ms" ||
       metric == "alloc_bytes_per_op" || metric == "samples" ||
       metric == "jobs") {
@@ -169,14 +174,15 @@ int CompareOne(const fs::path& baseline_path, const fs::path& candidate_path,
       case Direction::kLowerFails: ok = cand >= base - slack; break;
       case Direction::kHigherFails: ok = cand <= base + slack; break;
       case Direction::kBothFail: ok = std::abs(cand - base) <= slack; break;
+      case Direction::kExact: ok = cand == base; break;
       case Direction::kIgnored: break;
     }
     ++checked;
     if (!ok) {
-      std::fprintf(stderr, "  FAIL %s%s: baseline median %.4f, candidate "
-                   "%.4f (tolerance %.0f%%%s)\n",
+      std::fprintf(stderr, "  FAIL %s%s: baseline median %.6f, candidate "
+                   "%.6f (tolerance %.0f%%%s)\n",
                    group.c_str(), metric.c_str(), base, cand,
-                   args.tolerance * 100,
+                   dir == Direction::kExact ? 0.0 : args.tolerance * 100,
                    metric == "allocations_per_op" ? " + slack" : "");
       ++failures;
     }

@@ -114,6 +114,41 @@ void BM_EventQueueScheduleDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleDispatch);
 
+// The retransmission-timer pattern: every dispatched event (an ACK) pushes
+// one sim::Deadline a full timeout ahead. The event pool stays three deep
+// (the running ACK, the next one and one wake) instead of holding one dead
+// entry per re-arm within the timeout (timeout x ACK rate = 1000 here);
+// the pool_high_water counter reports the depth.
+void BM_DeadlineRearm(benchmark::State& state) {
+  constexpr int kAcks = 1000;
+  constexpr Nanos kTimeout = 1000;
+  struct AckStream {
+    sim::Simulation& sim;
+    sim::Deadline& timer;
+    int left;
+    void Ack() {
+      timer.Arm(kTimeout);
+      if (--left > 0) sim.ScheduleAfter(1, [this] { Ack(); });
+    }
+  };
+  std::uint64_t high_water = 0;
+  int fired = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulation sim;
+    sim::Deadline timer(sim, [&fired] { ++fired; });
+    AckStream stream{sim, timer, kAcks};
+    state.ResumeTiming();
+    sim.ScheduleAt(0, [&stream] { stream.Ack(); });
+    sim.Run();
+    high_water = sim.EventPoolStats().high_water;
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations() * kAcks);
+  state.counters["pool_high_water"] = static_cast<double>(high_water);
+}
+BENCHMARK(BM_DeadlineRearm);
+
 void BM_CoroutineDelayRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;

@@ -22,7 +22,9 @@
 //     wall (the rest) are reported separately.
 //
 // All *_wall metrics are informational in bench_gate unless --gate-wall;
-// the deterministic outcome totals (ops_total, fabric_ops) are gated tight.
+// the deterministic outcome totals (ops_total, fabric_ops) are gated tight,
+// and each rep row's events_per_op (dispatched events per retired op) must
+// match the baseline exactly.
 //
 // Emits BENCH_sim_throughput.json (schema v5). The committed baseline under
 // bench/baselines/ plus the bench_gate comparator turn this into the CI
@@ -363,7 +365,8 @@ int Main(int argc, char** argv) {
                 {"ops_per_sec_wall", s.ops_per_sec_wall},
                 {"allocations_per_op", s.allocs_per_op},
                 {"alloc_bytes_per_op", s.alloc_bytes_per_op},
-                {"mops_sim", s.mops_sim}});
+                {"mops_sim", s.mops_sim},
+                {"events_per_op", s.events_per_op}});
     }
     median_allocs.push_back(MedianOf(allocs_per_op));
 

@@ -130,7 +130,7 @@ class Link {
   bool busy_ = false;
   bool data_paused_ = false;
   Nanos pause_started_at_ = 0;
-  sim::TimerHandle pause_timer_;
+  sim::Deadline pause_timer_{*sim_, [this] { ResumeData(); }};
   std::uint64_t paused_ns_ = 0;
   std::uint64_t pauses_received_ = 0;
   std::uint64_t packets_delivered_ = 0;

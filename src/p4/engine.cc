@@ -210,7 +210,7 @@ void CowbirdP4Engine::AddInstance(const core::InstanceDescriptor& descriptor,
                                   const offload::InstanceProgress* resume) {
   // Instances can be added before or after Start (the control plane
   // registers them at application startup, Section 5.2 Phase I).
-  auto inst = std::make_unique<Instance>();
+  auto inst = std::make_unique<Instance>(*this);
   inst->descriptor = descriptor;
   inst->translation = descriptor.BuildTranslation();
   const auto bind = [](SwitchQp& qp, const HostEndpoint& ep) {
@@ -224,7 +224,7 @@ void CowbirdP4Engine::AddInstance(const core::InstanceDescriptor& descriptor,
   bind(inst->wr_compute, conn.wr_compute);
   bind(inst->wr_memory, conn.wr_memory);
   for (const auto& [mem_ep, wr_ep] : conn.extra_memory) {
-    auto path = std::make_unique<MemoryPath>();
+    auto path = std::make_unique<MemoryPath>(*this, *inst);
     bind(path->to_memory, mem_ep);
     bind(path->wr_memory, wr_ep);
     inst->extra_paths.push_back(std::move(path));
@@ -280,18 +280,9 @@ void CowbirdP4Engine::Start() {
 bool CowbirdP4Engine::RemoveInstance(std::uint32_t instance_id) {
   for (auto it = instances_.begin(); it != instances_.end(); ++it) {
     if ((*it)->descriptor.instance_id != instance_id) continue;
-    // Quiesce: cancel retransmission timers so no callback touches the
-    // instance after destruction; in-flight packets for its QPNs fall
+    // Destroying the instance drops its retransmission timers' wakes, so no
+    // callback touches it afterwards; in-flight packets for its QPNs fall
     // through InstanceForQpn as stale and are dropped.
-    (*it)->to_compute.timer.Cancel();
-    (*it)->to_probe.timer.Cancel();
-    (*it)->to_memory.timer.Cancel();
-    (*it)->wr_compute.timer.Cancel();
-    (*it)->wr_memory.timer.Cancel();
-    for (auto& path : (*it)->extra_paths) {
-      path->to_memory.timer.Cancel();
-      path->wr_memory.timer.Cancel();
-    }
     UnregisterInstanceTelemetry(instance_id);
     instances_.erase(it);
     return true;
@@ -1007,7 +998,7 @@ void CowbirdP4Engine::WalkAndEmit(Instance& inst, SwitchQp& qp) {
       progress = true;
     }
   }
-  ArmTimer(inst, qp);
+  ArmTimer(qp);
 }
 
 void CowbirdP4Engine::EmitRequestPacket(Instance& inst, SwitchQp& qp,
@@ -1054,11 +1045,12 @@ void CowbirdP4Engine::PopDonePendings(SwitchQp& qp) {
   if (qp.pending.empty()) qp.timer.Cancel();
 }
 
-void CowbirdP4Engine::ArmTimer(Instance& inst, SwitchQp& qp) {
-  qp.timer.Cancel();
-  if (qp.pending.empty()) return;
-  qp.timer = sim_->ScheduleCancelableAfter(
-      config_.gbn_timeout, [this, &inst, &qp] { Recover(inst, qp); });
+void CowbirdP4Engine::ArmTimer(SwitchQp& qp) {
+  if (qp.pending.empty()) {
+    qp.timer.Cancel();
+  } else {
+    qp.timer.Arm(config_.gbn_timeout);
+  }
 }
 
 void CowbirdP4Engine::Recover(Instance& inst, SwitchQp& qp) {

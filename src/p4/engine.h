@@ -228,7 +228,13 @@ class CowbirdP4Engine : public net::PacketProcessor {
     bool pool_reissue_needed = false;
   };
 
+  struct Instance;
+
   struct SwitchQp {
+    SwitchQp(CowbirdP4Engine& engine, Instance& inst)
+        : timer(*engine.sim_,
+                [&engine, &inst, this] { engine.Recover(inst, *this); }) {}
+
     HostEndpoint host;
     std::uint32_t next_psn = 0;       // next request PSN to assign
     std::uint32_t committed_psn = 0;  // everything below is fully done
@@ -239,7 +245,7 @@ class CowbirdP4Engine : public net::PacketProcessor {
     FixedDeque<Pending> pending;
     FixedDeque<Pending> deferred;
     int unemitted = 0;
-    sim::TimerHandle timer;
+    sim::Deadline timer;  // Go-Back-N retransmission: fires Recover()
   };
 
   struct ThreadState {
@@ -261,11 +267,21 @@ class CowbirdP4Engine : public net::PacketProcessor {
   // primary. Heap-allocated so SwitchQp addresses stay stable for the
   // retransmission-timer captures.
   struct MemoryPath {
+    MemoryPath(CowbirdP4Engine& engine, Instance& inst)
+        : to_memory(engine, inst), wr_memory(engine, inst) {}
+
     SwitchQp to_memory;
     SwitchQp wr_memory;
   };
 
   struct Instance {
+    explicit Instance(CowbirdP4Engine& engine)
+        : to_compute(engine, *this),
+          to_probe(engine, *this),
+          to_memory(engine, *this),
+          wr_compute(engine, *this),
+          wr_memory(engine, *this) {}
+
     core::InstanceDescriptor descriptor;
     // In-switch translation mirror (the ig3_range_translate stage): every
     // pool access range-matches (region, vaddr) to {server, rkey, offset}.
@@ -336,7 +352,7 @@ class CowbirdP4Engine : public net::PacketProcessor {
   SwitchQp& PoolWriteQp(Instance& inst, net::NodeId node);
 
   // --- fault tolerance ---
-  void ArmTimer(Instance& inst, SwitchQp& qp);
+  void ArmTimer(SwitchQp& qp);
   void Recover(Instance& inst, SwitchQp& qp);
 
   void SendPacket(net::Packet packet);

@@ -18,18 +18,20 @@ CongestionManager::CongestionManager(Device& device,
 
 CongestionManager::~CongestionManager() { UnbindTelemetry(); }
 
+CongestionManager::Flow::Flow(CongestionManager& manager, std::uint32_t qpn)
+    : rate_gbps(manager.line_rate_gbps_),
+      target_gbps(manager.line_rate_gbps_),
+      alpha_timer(manager.device_->simulation(),
+                  [&manager, qpn] { manager.DecayAlpha(qpn); }),
+      recovery_timer(manager.device_->simulation(),
+                     [&manager, qpn] { manager.RecoverRate(qpn); }) {}
+
 CongestionManager::Flow& CongestionManager::FlowFor(std::uint32_t qpn) {
   COWBIRD_CHECK(qpn >= 1);
-  if (flows_.size() < qpn) {
-    const std::size_t first_new = flows_.size();
-    flows_.resize(qpn);
-    for (std::size_t i = first_new; i < flows_.size(); ++i) {
-      flows_[i].rate_gbps = line_rate_gbps_;
-      flows_[i].target_gbps = line_rate_gbps_;
-      if (telemetry_registry_ != nullptr) {
-        BindFlowGauge(static_cast<std::uint32_t>(i + 1));
-      }
-    }
+  while (flows_.size() < qpn) {
+    const auto next = static_cast<std::uint32_t>(flows_.size() + 1);
+    flows_.emplace_back(*this, next);
+    if (telemetry_registry_ != nullptr) BindFlowGauge(next);
   }
   return flows_[qpn - 1];
 }
@@ -61,20 +63,15 @@ void CongestionManager::OnCnpReceived(std::uint32_t qpn) {
     flow.paced = true;
     flow.next_free = device_->simulation().Now();
   }
-  flow.alpha_timer.Cancel();
-  flow.alpha_timer = device_->simulation().ScheduleCancelableAfter(
-      config_.alpha_timer, [this, qpn] { DecayAlpha(qpn); });
-  flow.recovery_timer.Cancel();
-  flow.recovery_timer = device_->simulation().ScheduleCancelableAfter(
-      config_.recovery_timer, [this, qpn] { RecoverRate(qpn); });
+  flow.alpha_timer.Arm(config_.alpha_timer);
+  flow.recovery_timer.Arm(config_.recovery_timer);
 }
 
 void CongestionManager::DecayAlpha(std::uint32_t qpn) {
   Flow& flow = flows_[qpn - 1];
   if (!flow.paced) return;
   flow.alpha *= 1.0 - config_.g;
-  flow.alpha_timer = device_->simulation().ScheduleCancelableAfter(
-      config_.alpha_timer, [this, qpn] { DecayAlpha(qpn); });
+  flow.alpha_timer.Arm(config_.alpha_timer);
 }
 
 void CongestionManager::RecoverRate(std::uint32_t qpn) {
@@ -95,8 +92,7 @@ void CongestionManager::RecoverRate(std::uint32_t qpn) {
     StopPacing(qpn);
     return;
   }
-  flow.recovery_timer = device_->simulation().ScheduleCancelableAfter(
-      config_.recovery_timer, [this, qpn] { RecoverRate(qpn); });
+  flow.recovery_timer.Arm(config_.recovery_timer);
 }
 
 void CongestionManager::StopPacing(std::uint32_t qpn) {
@@ -140,7 +136,8 @@ void CongestionManager::BindFlowGauge(std::uint32_t qpn) {
   flow.gauge_bound = true;
   telemetry::Labels labels = telemetry_labels_;
   labels.emplace_back("qp", std::to_string(qpn));
-  // Captured by index, not pointer: flows_ may reallocate as QPs appear.
+  // Captured by qpn: FlowRateGbps bounds-checks, so the gauge never
+  // touches a Flow directly.
   telemetry_registry_->RegisterCallbackGauge(
       "dcqcn_rate_gbps", labels, [this, qpn] {
         return static_cast<std::int64_t>(FlowRateGbps(qpn) *

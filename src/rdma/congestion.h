@@ -5,8 +5,8 @@
 // CE-marked data packets as CNPs (rate-limited per flow); the sender side
 // reacts to a CNP with a multiplicative rate decrease and then recovers
 // through the standard DCQCN ladder — fast recovery toward the pre-cut
-// target, additive increase, hyper increase — driven by cancelable timers
-// on the virtual clock, so every run is deterministic.
+// target, additive increase, hyper increase — driven by re-armable
+// sim::Deadline timers on the virtual clock, so every run is deterministic.
 //
 // Pacing is exact-token: a paced flow's packets are admitted through a
 // leaky bucket at the flow's current rate. A flow that has never seen a
@@ -17,7 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <deque>
 
 #include "common/units.h"
 #include "rdma/params.h"
@@ -63,6 +63,8 @@ class CongestionManager {
 
  private:
   struct Flow {
+    Flow(CongestionManager& manager, std::uint32_t qpn);
+
     double rate_gbps = 0;
     double target_gbps = 0;
     double alpha = 1.0;
@@ -70,8 +72,8 @@ class CongestionManager {
     int recovery_stage = 0;
     Nanos next_free = 0;      // leaky bucket: earliest next departure
     Nanos last_cnp_out = -1;  // receiver-side echo rate limit
-    sim::TimerHandle alpha_timer;
-    sim::TimerHandle recovery_timer;
+    sim::Deadline alpha_timer;     // fires DecayAlpha
+    sim::Deadline recovery_timer;  // fires RecoverRate
     bool gauge_bound = false;
   };
 
@@ -84,7 +86,9 @@ class CongestionManager {
   Device* device_;
   DcqcnConfig config_;
   double line_rate_gbps_;
-  std::vector<Flow> flows_;  // indexed by qpn - 1, grown lazily
+  // Indexed by qpn - 1, grown lazily. A deque, because growth must not
+  // move a Flow: its Deadlines are queued by address.
+  std::deque<Flow> flows_;
   std::uint64_t cnps_sent_ = 0;
   std::uint64_t cnps_received_ = 0;
   std::uint64_t rate_decreases_ = 0;

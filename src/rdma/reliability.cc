@@ -39,6 +39,10 @@ CqeOpcode ToCqeOpcode(WqeOp op) {
 
 }  // namespace
 
+ReliabilityManager::ReliabilityManager(QueuePair& qp)
+    : qp_(&qp),
+      retransmit_timer_(qp.device_->simulation(), [this] { GoBackN(); }) {}
+
 void ReliabilityManager::Enqueue(SendWqe wqe) {
   pending_.push_back(wqe);
   TryTransmit();
@@ -138,10 +142,7 @@ void ReliabilityManager::HandleAck(const RdmaMessageView& view) {
   if (syndrome == kSyndromeRnrNak) {
     // Receiver-not-ready: back off briefly before rewinding so we do not
     // hammer a responder that has no RECV posted yet.
-    Device* device = qp_->device_;
-    retransmit_timer_.Cancel();
-    retransmit_timer_ = device->simulation().ScheduleCancelableAfter(
-        device->config().retransmit_timeout / 8, [this] { GoBackN(); });
+    retransmit_timer_.Arm(qp_->device_->config().retransmit_timeout / 8);
     return;
   }
   if (syndrome == kSyndromeNakRemoteAccess) {
@@ -187,14 +188,15 @@ void ReliabilityManager::GoBackN() {
 
 void ReliabilityManager::ArmTimer() {
   if (retransmit_timer_.Pending()) return;
-  Device* device = qp_->device_;
-  retransmit_timer_ = device->simulation().ScheduleCancelableAfter(
-      device->config().retransmit_timeout, [this] { GoBackN(); });
+  retransmit_timer_.Arm(qp_->device_->config().retransmit_timeout);
 }
 
 void ReliabilityManager::OnProgress() {
-  retransmit_timer_.Cancel();
-  if (!inflight_.empty()) ArmTimer();
+  if (inflight_.empty()) {
+    retransmit_timer_.Cancel();
+  } else {
+    retransmit_timer_.Arm(qp_->device_->config().retransmit_timeout);
+  }
 }
 
 }  // namespace cowbird::rdma

@@ -17,6 +17,7 @@
 #include "common/units.h"
 #include "rdma/device.h"
 #include "rdma/wire.h"
+#include "sim/simulation.h"
 
 namespace cowbird::rdma {
 
@@ -37,7 +38,7 @@ struct SendWqe {
 
 class ReliabilityManager {
  public:
-  explicit ReliabilityManager(QueuePair& qp) : qp_(&qp) {}
+  explicit ReliabilityManager(QueuePair& qp);
   ReliabilityManager(const ReliabilityManager&) = delete;
   ReliabilityManager& operator=(const ReliabilityManager&) = delete;
 
@@ -83,7 +84,7 @@ class ReliabilityManager {
   FixedDeque<SendWqe> pending_;       // posted, not yet transmitted
   FixedDeque<InflightWqe> inflight_;  // transmitted, not completed
   std::uint32_t next_psn_ = 0;
-  sim::TimerHandle retransmit_timer_;
+  sim::Deadline retransmit_timer_;  // fires GoBackN()
   std::uint64_t retransmissions_ = 0;
 };
 

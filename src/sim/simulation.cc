@@ -21,19 +21,12 @@ bool Simulation::PopAndDispatchOne() {
   queue_.pop();
   COWBIRD_CHECK(entry.when >= now_);
   now_ = entry.when;
-  EventRecord* record = events_.Get(entry.event);
-  if (record->timer) {
-    // The cell is released here whether the timer fired or was canceled;
-    // outstanding TimerHandles go stale (generation mismatch) rather than
-    // dangling.
-    TimerCell* cell = timer_cells_.TryGet(record->timer);
-    COWBIRD_CHECK(cell != nullptr);
-    const bool armed = cell->armed;
-    timer_cells_.Release(record->timer);
-    if (!armed) {
-      events_.Release(entry.event);
-      return true;  // canceled timer
-    }
+  EventRecord* record = events_.TryGet(entry.event);
+  if (record == nullptr) return true;  // wake dropped by its Deadline
+  if (Deadline* deadline = record->deadline) {
+    events_.Release(entry.event);
+    deadline->OnWake(entry.seq);
+    return true;
   }
   ++events_processed_;
   // Invoke in place: the pool slot address is stable even if the callback
@@ -49,6 +42,7 @@ void Simulation::Run() {
   halted_ = false;
   while (!halted_ && PopAndDispatchOne()) {
   }
+  if (!halted_) now_ = std::max(now_, deadline_horizon_);
 }
 
 void Simulation::RunUntil(Nanos deadline) {

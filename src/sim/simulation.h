@@ -4,6 +4,15 @@
 // callback) entries. Events at equal times fire in schedule order, which —
 // together with the seeded PRNGs — makes every run bit-reproducible.
 //
+// Timeouts that move (retransmission, pacing recovery, PFC pause, batch
+// flush) use sim::Deadline, a re-armable one-shot timer. Each Arm() takes
+// the (time, sequence) slot a fresh ScheduleAfter would have taken, but the
+// Deadline keeps at most one wake in the queue: pushing a deadline later
+// costs nothing until the old wake pops, and then it re-queues itself at
+// the reserved slot. Wakes that do not run the callback are not counted in
+// EventsProcessed(), so dispatch order and event counts are exactly those
+// of one-event-per-arm scheduling with lazy cancellation.
+//
 // Coroutine processes (sim::Task<void>) are attached with Spawn(); they
 // interact with the clock via `co_await sim.Delay(ns)` and with each other
 // via the primitives in sync.h. All coroutine resumptions are funneled
@@ -33,24 +42,45 @@ class Simulation;
 // which dominated the simulator's allocator traffic.
 using EventFn = InlineFunction<void()>;
 
-// Handle to a scheduled event that may be canceled (e.g. retransmission
-// timers). Cancellation is lazy: the queue entry stays but becomes a no-op.
-// The armed/disarmed bit lives in a pooled slab cell owned by the
-// Simulation; the cell is recycled when the event dispatches, and the
-// generation tag on the handle makes later Cancel()/Pending() calls on the
-// stale handle safe no-ops.
-class TimerHandle {
+// A re-armable one-shot timer with at most one queue entry.
+//
+// Arm(delay) (re)sets the deadline to now + delay and reserves the queue
+// slot (time, seq) that ScheduleAfter would take at that moment. The
+// callback runs at that slot unless the timer is re-armed or canceled
+// first. A wake already queued at or before the new slot is kept; a later
+// one is dropped for a new wake at the slot. A wake that pops early
+// re-queues itself at the reserved slot; one that pops disarmed does
+// nothing. Neither counts as a processed event.
+//
+// The callback is bound once, at construction, and may re-arm its own
+// Deadline. The wake points at the Deadline, so it cannot move: owners
+// that live in growable containers need stable storage. The Simulation
+// must outlive every Deadline; destruction drops a queued wake.
+class Deadline {
  public:
-  TimerHandle() = default;
+  template <typename F>
+  Deadline(Simulation& sim, F&& fn) : sim_(&sim), fn_(std::forward<F>(fn)) {}
+  Deadline(const Deadline&) = delete;
+  Deadline& operator=(const Deadline&) = delete;
+  ~Deadline();
 
-  void Cancel();
-  bool Pending() const;
+  void Arm(Nanos delay);
+  void Cancel() { armed_ = false; }
+  // True from Arm() until the callback starts or Cancel().
+  bool Pending() const { return armed_; }
 
  private:
   friend class Simulation;
-  TimerHandle(Simulation* sim, PoolHandle cell) : sim_(sim), cell_(cell) {}
-  Simulation* sim_ = nullptr;
-  PoolHandle cell_;
+  void PushWake();
+  void OnWake(std::uint64_t wake_seq);
+
+  Simulation* sim_;
+  EventFn fn_;
+  bool armed_ = false;
+  Nanos when_ = 0;             // reserved slot of the current arm
+  std::uint64_t seq_ = 0;
+  PoolHandle wake_;            // queued wake's event record, if any
+  Nanos wake_when_ = 0;
 };
 
 class Simulation {
@@ -69,22 +99,13 @@ class Simulation {
   template <typename F>
   void ScheduleAt(Nanos when, F&& fn) {
     COWBIRD_CHECK(when >= now_);
-    const PoolHandle event =
-        events_.Acquire(std::forward<F>(fn), PoolHandle{});
+    const PoolHandle event = events_.Acquire(std::forward<F>(fn), nullptr);
     queue_.push(QueueEntry{when, next_seq_++, event});
   }
   template <typename F>
   void ScheduleAfter(Nanos delay, F&& fn) {
     ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
-  template <typename F>
-  TimerHandle ScheduleCancelableAfter(Nanos delay, F&& fn) {
-    const PoolHandle cell = timer_cells_.Acquire();
-    const PoolHandle event = events_.Acquire(std::forward<F>(fn), cell);
-    queue_.push(QueueEntry{now_ + delay, next_seq_++, event});
-    return TimerHandle(this, cell);
-  }
-
   // Runs until the event queue drains or Halt() is called.
   void Run();
   // Runs until virtual time reaches `deadline` (events exactly at the
@@ -125,19 +146,19 @@ class Simulation {
 
   std::uint64_t EventsProcessed() const { return events_processed_; }
 
-  // Live counters of the pooled event/timer records, for BindPoolTelemetry
-  // (harnesses bind them as pool_in_use / pool_high_water /
-  // pool_exhausted_total gauges labeled by pool name).
+  // Live counters of the pooled event records (Deadline wakes included),
+  // for BindPoolTelemetry (harnesses bind them as pool_in_use /
+  // pool_high_water / pool_exhausted_total gauges labeled by pool name).
   const PoolStats& EventPoolStats() const { return events_.stats(); }
-  const PoolStats& TimerPoolStats() const { return timer_cells_.stats(); }
 
  private:
-  // The callable and timer handle live in a pooled record; the heap itself
-  // holds only small POD entries, so sift-up/down moves 24 bytes instead of
-  // relocating a 64-byte inline closure per swap.
+  // The callable lives in a pooled record; the heap itself holds only
+  // small POD entries, so sift-up/down moves 24 bytes instead of relocating
+  // a 64-byte inline closure per swap. A Deadline's wake carries no
+  // callable, only the Deadline to consult.
   struct EventRecord {
     EventFn fn;
-    PoolHandle timer;  // null → not cancelable
+    Deadline* deadline;  // non-null → a Deadline wake
   };
 
   struct QueueEntry {
@@ -194,10 +215,6 @@ class Simulation {
     std::vector<QueueEntry> v_;
   };
 
-  struct TimerCell {
-    bool armed = true;
-  };
-
   // Driver coroutine wrapping a spawned task; destroys itself on completion.
   struct RootTask {
     struct promise_type {
@@ -228,31 +245,60 @@ class Simulation {
 
   bool PopAndDispatchOne();
 
-  friend class TimerHandle;
+  friend class Deadline;
 
   Nanos now_ = 0;
   bool halted_ = false;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
+  // Latest slot any Deadline ever reserved. One-event-per-arm scheduling
+  // would leave a dead entry at every abandoned slot, and draining the
+  // queue would advance the clock past all of them; Run() does the same.
+  Nanos deadline_horizon_ = 0;
   EventHeap queue_;
-  // Event payloads, recycled at dispatch.
+  // Event payloads, recycled at dispatch. A record whose handle went stale
+  // (a Deadline dropped its wake) leaves a dead heap entry that pops as a
+  // no-op.
   Pool<EventRecord> events_{1024, /*growable=*/true};
-  // Armed bits for cancelable timers; a cell is acquired per timer and
-  // released when its event dispatches (fired or canceled).
-  Pool<TimerCell> timer_cells_{64, /*growable=*/true};
   // address → handle of still-live root coroutines, for teardown.
   std::unordered_map<void*, std::coroutine_handle<>> live_roots_;
 };
 
-inline void TimerHandle::Cancel() {
-  if (sim_ == nullptr) return;
-  if (auto* cell = sim_->timer_cells_.TryGet(cell_)) cell->armed = false;
+inline Deadline::~Deadline() {
+  if (wake_) sim_->events_.Release(wake_);
 }
 
-inline bool TimerHandle::Pending() const {
-  if (sim_ == nullptr) return false;
-  const auto* cell = sim_->timer_cells_.TryGet(cell_);
-  return cell != nullptr && cell->armed;
+inline void Deadline::Arm(Nanos delay) {
+  COWBIRD_CHECK(delay >= 0);
+  armed_ = true;
+  when_ = sim_->now_ + delay;
+  seq_ = sim_->next_seq_++;
+  sim_->deadline_horizon_ = std::max(sim_->deadline_horizon_, when_);
+  // A queued wake at an earlier time also has the smaller seq.
+  if (wake_) {
+    if (wake_when_ <= when_) return;
+    sim_->events_.Release(wake_);
+  }
+  PushWake();
+}
+
+inline void Deadline::PushWake() {
+  wake_ = sim_->events_.Acquire(EventFn{}, this);
+  wake_when_ = when_;
+  sim_->queue_.push(Simulation::QueueEntry{when_, seq_, wake_});
+}
+
+// The dispatcher has already released the wake's record.
+inline void Deadline::OnWake(std::uint64_t wake_seq) {
+  wake_ = PoolHandle{};
+  if (!armed_) return;
+  if (seq_ != wake_seq) {
+    PushWake();
+    return;
+  }
+  armed_ = false;
+  ++sim_->events_processed_;
+  fn_();
 }
 
 }  // namespace cowbird::sim

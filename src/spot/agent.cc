@@ -38,6 +38,17 @@ std::uint64_t SpotAgent::MakeWrId(CompletionKind kind, std::uint32_t instance,
          (static_cast<std::uint64_t>(thread) << kThreadShift) | token;
 }
 
+SpotAgent::ThreadState::ThreadState(SpotAgent& agent,
+                                    std::uint32_t instance_index, int thread)
+    : batch_timer(agent.thread_.simulation(),
+                  [&agent, instance_index, thread] {
+                    agent.completions_.Send(rdma::Cqe{
+                        MakeWrId(CompletionKind::kBatchTimer, instance_index,
+                                 static_cast<std::uint16_t>(thread), 0),
+                        rdma::CqeOpcode::kWrite, rdma::CqeStatus::kSuccess,
+                        0});
+                  }) {}
+
 SpotAgent::SpotAgent(rdma::Device& device, sim::Machine& machine,
                      Config config)
     : device_(&device),
@@ -147,7 +158,9 @@ void SpotAgent::AddInstance(
     COWBIRD_CHECK(to_memory.find(range.node) != to_memory.end());
   }
   inst->index = static_cast<std::uint32_t>(instances_.size());
-  inst->threads.resize(descriptor.layout.threads);
+  for (int t = 0; t < descriptor.layout.threads; ++t) {
+    inst->threads.emplace_back(*this, inst->index, t);
+  }
   inst->probe_staging = AllocStaging(descriptor.layout.GreenBytesTotal());
   inst->meta_staging = AllocStaging(
       static_cast<Bytes>(descriptor.layout.threads) * kMetaFetchLimit *
@@ -714,15 +727,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
 
 void SpotAgent::ArmBatchTimer(Instance& inst, int thread) {
   ThreadState& ts = inst.threads[thread];
-  if (ts.batch_timer.Pending()) return;
-  const std::uint32_t instance_index = inst.index;
-  ts.batch_timer = thread_.simulation().ScheduleCancelableAfter(
-      config_.batch_timeout, [this, instance_index, thread] {
-        completions_.Send(rdma::Cqe{
-            MakeWrId(CompletionKind::kBatchTimer, instance_index,
-                     static_cast<std::uint16_t>(thread), 0),
-            rdma::CqeOpcode::kWrite, rdma::CqeStatus::kSuccess, 0});
-      });
+  if (!ts.batch_timer.Pending()) ts.batch_timer.Arm(config_.batch_timeout);
 }
 
 sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -45,6 +46,7 @@
 #include "rdma/params.h"
 #include "rdma/qp.h"
 #include "rdma/verbs.h"
+#include "sim/simulation.h"
 #include "sim/sync.h"
 #include "sim/thread.h"
 #include "telemetry/hub.h"
@@ -165,6 +167,8 @@ class SpotAgent {
   };
 
   struct ThreadState {
+    ThreadState(SpotAgent& agent, std::uint32_t instance_index, int thread);
+
     std::uint64_t tail_seen = 0;    // green meta_tail from last probe
     std::uint64_t fetch_cursor = 0; // entries requested from the ring
     // Red-block counters: meta_head (entries fully parsed), data_head,
@@ -183,7 +187,8 @@ class SpotAgent {
     std::uint64_t read_durable_seq = 0;
     std::uint64_t resp_tail_durable = 0;
     bool fetch_inflight = false;
-    sim::TimerHandle batch_timer;
+    // Posts a kBatchTimer completion so a partial batch is flushed.
+    sim::Deadline batch_timer;
   };
 
   struct Instance {
@@ -199,7 +204,7 @@ class SpotAgent {
     // per issued op, and a handful of memory nodes scan faster than a tree.
     std::vector<std::pair<net::NodeId, rdma::QueuePair*>> to_memory;
     std::uint32_t index = 0;  // slot in instances_ (stable; encoded in wr_ids)
-    std::vector<ThreadState> threads;
+    std::deque<ThreadState> threads;  // deque: a Deadline cannot move
     std::uint64_t probe_staging = 0;     // staging addr for green blocks
     std::uint64_t meta_staging = 0;      // staging addr for metadata fetches
     bool probe_inflight = false;

@@ -76,8 +76,6 @@ struct Harness {
       // a mis-sized pool visible instead of silently degrading to the heap.
       BindPoolTelemetry(hub->metrics, telemetry::Labels{{"pool", "sim_events"}},
                         bed.sim.EventPoolStats());
-      BindPoolTelemetry(hub->metrics, telemetry::Labels{{"pool", "sim_timers"}},
-                        bed.sim.TimerPoolStats());
     }
     for (int t = 0; t < cfg.threads; ++t) {
       threads.push_back(
@@ -183,8 +181,6 @@ struct Harness {
       for (net::Link* link : bound_links) link->UnbindTelemetry();
       UnbindPoolTelemetry(hub->metrics,
                           telemetry::Labels{{"pool", "sim_events"}});
-      UnbindPoolTelemetry(hub->metrics,
-                          telemetry::Labels{{"pool", "sim_timers"}});
       // The testbed simulation dies with the harness but the caller keeps
       // the hub: freeze the tracer clock at the final virtual time.
       hub->tracer.SetClock([now = bed.sim.Now()] { return now; });

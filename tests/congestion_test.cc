@@ -241,6 +241,35 @@ TEST(DcqcnConvergence, VictimFlowOnUncongestedPortKeepsItsSoloRate) {
   EXPECT_GE(contended, 0.9 * solo) << "solo=" << solo;
 }
 
+// The flow table grows on demand while earlier flows' DCQCN timers are
+// queued: growth must not move a flow out from under its timers, and each
+// timer keeps driving the flow it was armed for.
+TEST(DcqcnTimers, FlowTableGrowsWhileTimersAreArmed) {
+  sim::Simulation sim;
+  rdma::FabricParams fabric;
+  rdma::NicConfig config;
+  config.dcqcn.enabled = true;
+  net::HostNic nic(sim, 1, fabric.host_link, fabric.link_propagation);
+  SparseMemory memory;
+  rdma::Device device(nic, memory, config);
+  rdma::CongestionManager& cc = *device.congestion();
+  const double line = cc.FlowRateGbps(1);
+
+  cc.OnCnpReceived(1);
+  const double cut = cc.FlowRateGbps(1);
+  EXPECT_LT(cut, line);
+  sim.RunFor(config.dcqcn.recovery_timer / 2);
+  cc.OnCnpReceived(256);  // grows the table from 1 flow to 256
+  sim.RunFor(config.dcqcn.recovery_timer / 2);
+  EXPECT_GT(cc.FlowRateGbps(1), cut);  // flow 1's first recovery step ran
+  EXPECT_LT(cc.FlowRateGbps(256), line);
+
+  sim.Run();  // both ladders climb back to line rate and stop pacing
+  EXPECT_EQ(cc.FlowRateGbps(1), line);
+  EXPECT_EQ(cc.FlowRateGbps(256), line);
+  EXPECT_EQ(cc.rate_decreases(), 2u);
+}
+
 // ------------------------------------------------- chaos scenario suite
 
 using chaos::ChaosOptions;

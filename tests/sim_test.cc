@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "sim/thread.h"
+#include "test_seed.h"
 
 namespace cowbird::sim {
 namespace {
@@ -46,11 +53,17 @@ TEST(Simulation, RunUntilStopsAtDeadline) {
 TEST(Simulation, CancelableTimerDoesNotFire) {
   Simulation sim;
   int fired = 0;
-  auto handle = sim.ScheduleCancelableAfter(50, [&] { ++fired; });
-  EXPECT_TRUE(handle.Pending());
-  handle.Cancel();
+  Deadline timer(sim, [&] { ++fired; });
+  timer.Arm(50);
+  EXPECT_TRUE(timer.Pending());
+  timer.Cancel();
+  EXPECT_FALSE(timer.Pending());
   sim.Run();
   EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.EventsProcessed(), 0u);
+  // The clock still drains past the abandoned slot, as if a canceled event
+  // had stayed queued there.
+  EXPECT_EQ(sim.Now(), 50);
 }
 
 TEST(Simulation, NestedScheduling) {
@@ -61,6 +74,265 @@ TEST(Simulation, NestedScheduling) {
   });
   sim.Run();
   EXPECT_EQ(value, 42);
+}
+
+// ------------------------------------------------------------- Deadline
+//
+// Property: a Deadline behaves exactly like scheduling one plain event per
+// Arm() and ignoring every event but the latest arm's (a generation check)
+// — same callbacks at the same virtual times in the same order, same clock
+// after the queue drains — while EventsProcessed() counts only callbacks
+// that ran and the queue holds at most one wake per Deadline.
+
+constexpr int kTimers = 4;
+
+enum class StepKind { kArm, kCancel, kDestroy, kMarker };
+
+struct Step {
+  Nanos at;
+  StepKind kind;
+  int id;       // timer index (kMarker: marker number)
+  Nanos delay;  // kArm only
+};
+
+struct Script {
+  std::vector<Step> steps;
+  // rearm[id][k]: delay the k-th callback of timer `id` re-arms itself
+  // with, or -1 to stay disarmed.
+  std::vector<std::vector<Nanos>> rearm;
+  Nanos midpoint = 0;  // RunUntil() here first, then Run()
+
+  Nanos Rearm(int id, std::size_t k) const {
+    const auto& v = rearm[static_cast<std::size_t>(id)];
+    return k < v.size() ? v[k] : -1;
+  }
+};
+
+Script MakeScript(std::uint64_t seed) {
+  Rng rng(seed);
+  Script script;
+  constexpr Nanos kSpan = 2000;
+  for (int i = 0; i < 400; ++i) {
+    Step step{static_cast<Nanos>(rng.Below(kSpan)), StepKind::kMarker, 0, 0};
+    const std::uint64_t roll = rng.Below(100);
+    step.id = static_cast<int>(rng.Below(kTimers));
+    if (roll < 45) {
+      step.kind = StepKind::kArm;
+      // Delay 0 and coarse values force same-time ties with other steps.
+      const Nanos coarse = static_cast<Nanos>(rng.Below(30)) * 10;
+      step.delay = rng.Bernoulli(0.2) ? 0 : coarse;
+    } else if (roll < 60) {
+      step.kind = StepKind::kCancel;
+    } else if (roll < 70) {
+      step.kind = StepKind::kDestroy;
+    } else {
+      step.id = i;
+    }
+    script.steps.push_back(step);
+  }
+  script.rearm.resize(kTimers);
+  for (auto& v : script.rearm) {
+    for (int k = 0; k < 64; ++k) {
+      const Nanos delay = static_cast<Nanos>(rng.Below(20)) * 10;
+      v.push_back(rng.Bernoulli(0.5) ? -1 : delay);
+    }
+  }
+  script.midpoint = static_cast<Nanos>(rng.Below(kSpan));
+  return script;
+}
+
+struct Trace {
+  std::vector<std::pair<Nanos, int>> log;  // (time, timer id | -1 - marker)
+  std::uint64_t callbacks = 0;             // closures that ran
+  Nanos end = 0;                           // clock after draining
+};
+
+// The reference: one plain event per arm, stale ones dropped on a
+// generation mismatch — the scheduling Deadline replaces.
+Trace RunWithPlainEvents(const Script& script) {
+  Simulation sim;
+  Trace trace;
+  std::vector<std::uint64_t> gen(kTimers, 0);
+  std::vector<bool> armed(kTimers, false);
+  std::vector<std::size_t> fires(kTimers, 0);
+  std::function<void(int, Nanos)> arm = [&](int id, Nanos delay) {
+    armed[id] = true;
+    const std::uint64_t mine = ++gen[id];
+    sim.ScheduleAfter(delay, [&, id, mine] {
+      if (!armed[id] || gen[id] != mine) return;
+      armed[id] = false;
+      trace.log.emplace_back(sim.Now(), id);
+      ++trace.callbacks;
+      const Nanos again = script.Rearm(id, fires[id]++);
+      if (again >= 0) arm(id, again);
+    });
+  };
+  for (const Step& step : script.steps) {
+    sim.ScheduleAt(step.at, [&, step] {
+      ++trace.callbacks;
+      if (step.kind == StepKind::kArm) {
+        arm(step.id, step.delay);
+      } else if (step.kind == StepKind::kCancel) {
+        armed[step.id] = false;
+      } else if (step.kind == StepKind::kDestroy) {
+        armed[step.id] = false;
+        ++gen[step.id];
+      } else {
+        trace.log.emplace_back(sim.Now(), -1 - step.id);
+      }
+    });
+  }
+  sim.RunUntil(script.midpoint);
+  sim.Run();
+  trace.end = sim.Now();
+  return trace;
+}
+
+struct DeadlineRun {
+  Trace trace;
+  std::uint64_t events_processed = 0;
+  int later_rearms = 0;    // Arm() while pending, to a later deadline
+  int earlier_rearms = 0;  // Arm() while pending, to an earlier deadline
+};
+
+DeadlineRun RunWithDeadlines(const Script& script) {
+  Simulation sim;
+  DeadlineRun run;
+  Trace& trace = run.trace;
+  std::vector<std::unique_ptr<Deadline>> timers(kTimers);
+  std::vector<Nanos> due(kTimers, 0);
+  std::vector<std::size_t> fires(kTimers, 0);
+  std::size_t steps_started = 0;
+  // Undispatched script steps (the running one included) plus at most one
+  // wake per Deadline.
+  const auto check_queue = [&] {
+    EXPECT_LE(sim.EventPoolStats().in_use,
+              script.steps.size() - steps_started + 1 + kTimers);
+  };
+  const auto arm = [&](int id, Nanos delay) {
+    const Nanos when = sim.Now() + delay;
+    if (timers[id]->Pending() && when > due[id]) ++run.later_rearms;
+    if (timers[id]->Pending() && when < due[id]) ++run.earlier_rearms;
+    due[id] = when;
+    timers[id]->Arm(delay);
+  };
+  const auto ensure_timer = [&](int id) {
+    if (timers[id]) return;
+    timers[id] = std::make_unique<Deadline>(sim, [&, id] {
+      EXPECT_FALSE(timers[id]->Pending());
+      trace.log.emplace_back(sim.Now(), id);
+      ++trace.callbacks;
+      check_queue();
+      const Nanos again = script.Rearm(id, fires[id]++);
+      if (again >= 0) arm(id, again);
+    });
+  };
+  for (const Step& step : script.steps) {
+    sim.ScheduleAt(step.at, [&, step] {
+      ++steps_started;
+      ++trace.callbacks;
+      check_queue();
+      if (step.kind == StepKind::kArm) {
+        ensure_timer(step.id);
+        arm(step.id, step.delay);
+      } else if (step.kind == StepKind::kCancel) {
+        if (timers[step.id]) timers[step.id]->Cancel();
+      } else if (step.kind == StepKind::kDestroy) {
+        timers[step.id].reset();
+      } else {
+        trace.log.emplace_back(sim.Now(), -1 - step.id);
+      }
+    });
+  }
+  sim.RunUntil(script.midpoint);
+  sim.Run();
+  trace.end = sim.Now();
+  run.events_processed = sim.EventsProcessed();
+  EXPECT_EQ(sim.EventPoolStats().in_use, 0u);
+  return run;
+}
+
+TEST(Deadline, MatchesOneEventPerArmOnRandomScripts) {
+  const std::uint64_t base = testing::TestSeed(20231017);
+  COWBIRD_SCOPED_SEED(base);
+  int later = 0;
+  int earlier = 0;
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    SCOPED_TRACE(::testing::Message() << "script " << i);
+    const Script script = MakeScript(base + i);
+    const Trace want = RunWithPlainEvents(script);
+    const DeadlineRun got = RunWithDeadlines(script);
+    EXPECT_EQ(got.trace.log, want.log);
+    EXPECT_EQ(got.trace.callbacks, want.callbacks);
+    EXPECT_EQ(got.events_processed, got.trace.callbacks);
+    EXPECT_EQ(got.trace.end, want.end);
+    later += got.later_rearms;
+    earlier += got.earlier_rearms;
+  }
+  // The scripts exercised both directions of a pending re-arm.
+  EXPECT_GT(later, 0);
+  EXPECT_GT(earlier, 0);
+}
+
+TEST(Deadline, RearmLaterKeepsOneWake) {
+  Simulation sim;
+  std::vector<Nanos> fired;
+  Deadline timer(sim, [&] { fired.push_back(sim.Now()); });
+  timer.Arm(100);
+  for (Nanos t = 10; t <= 500; t += 10) {
+    sim.ScheduleAt(t, [&] { timer.Arm(100); });
+  }
+  while (sim.Now() < 700) {
+    sim.RunFor(5);
+    // The re-arm steps still queued, plus one wake at most.
+    const auto steps_left =
+        static_cast<std::uint64_t>(50 - std::min<Nanos>(sim.Now(), 500) / 10);
+    EXPECT_LE(sim.EventPoolStats().in_use, steps_left + 1);
+  }
+  EXPECT_EQ(fired, (std::vector<Nanos>{600}));
+  EXPECT_EQ(sim.EventsProcessed(), 50u + 1u);
+}
+
+TEST(Deadline, OwnerDestroyedWhileQueuedLeavesSimulationRunning) {
+  struct Owner {
+    Owner(Simulation& sim, int& fired)
+        : armed(sim, [&fired] { ++fired; }),
+          disarmed(sim, [&fired] { ++fired; }) {}
+    Deadline armed;
+    Deadline disarmed;
+  };
+  Simulation sim;
+  int fired = 0;
+  auto owner = std::make_unique<Owner>(sim, fired);
+  owner->armed.Arm(100);
+  owner->disarmed.Arm(50);
+  owner->disarmed.Cancel();
+  sim.RunUntil(10);
+  EXPECT_EQ(sim.EventPoolStats().in_use, 2u);
+  owner.reset();
+  EXPECT_EQ(sim.EventPoolStats().in_use, 0u);
+  int later = 0;
+  sim.ScheduleAt(200, [&] { ++later; });
+  sim.Run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(later, 1);
+  EXPECT_EQ(sim.EventsProcessed(), 1u);
+  EXPECT_EQ(sim.Now(), 200);
+}
+
+TEST(Deadline, CallbackMayRearmItself) {
+  Simulation sim;
+  std::vector<Nanos> fired;
+  std::unique_ptr<Deadline> timer;
+  timer = std::make_unique<Deadline>(sim, [&] {
+    fired.push_back(sim.Now());
+    if (fired.size() < 3) timer->Arm(7);
+  });
+  timer->Arm(7);
+  sim.Run();
+  EXPECT_EQ(fired, (std::vector<Nanos>{7, 14, 21}));
+  EXPECT_FALSE(timer->Pending());
+  EXPECT_EQ(sim.EventsProcessed(), 3u);
 }
 
 TEST(Coroutine, DelayAdvancesClock) {
