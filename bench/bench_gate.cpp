@@ -11,8 +11,10 @@
 //                               --gate-wall is passed (then they fail LOW
 //                               only).
 //   * allocations_per_op      — datapath heap discipline; fails HIGH only,
-//                               with a small absolute slack so a 0.03 → 0.05
-//                               jitter does not page anyone.
+//                               with a small absolute slack (0.02) so a few
+//                               stray allocations per thousand ops do not
+//                               page anyone, while a per-tick or per-op
+//                               allocation does.
 //   * events_per_op           — dispatched events per op; deterministic and
 //                               the structural cost of the datapath, so it
 //                               must match exactly (zero tolerance).
@@ -132,7 +134,7 @@ struct GateArgs {
   fs::path baseline_dir;
   fs::path candidate_dir = ".";
   double tolerance = 0.10;
-  double alloc_slack = 0.25;  // absolute allocations/op headroom
+  double alloc_slack = 0.02;  // absolute allocations/op headroom
   bool write_baseline = false;
   bool gate_wall = false;  // opt-in gating of *_wall metrics
 };

@@ -91,6 +91,36 @@ void BM_SparseMemoryCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseMemoryCopy)->Arg(64)->Arg(1024)->Arg(32768);
 
+// A 256 B record write plus read at a random record of a 51 MB pre-mapped
+// region: the shape of the datapath's pool accesses, where nearly every
+// access misses the page cache and takes the extent lookup.
+void BM_SparseMemoryRandomRecord(benchmark::State& state) {
+  constexpr std::uint64_t kRecord = 256;
+  constexpr std::uint64_t kRecords = 200'000;
+  SparseMemory mem;
+  mem.PreFault(0, kRecord * kRecords);
+  std::vector<std::uint8_t> buf(kRecord, 0xAB);
+  Rng rng(9973);
+  for (auto _ : state) {
+    const std::uint64_t addr = rng.Below(kRecords) * kRecord;
+    mem.Write(addr, buf);
+    mem.Read(addr, buf);
+  }
+  state.SetBytesProcessed(state.iterations() * kRecord * 2);
+}
+BENCHMARK(BM_SparseMemoryRandomRecord);
+
+// Mapping 64 MiB up front reserves address space only, so setup cost does
+// not grow with the range.
+void BM_SparseMemoryPreFault(benchmark::State& state) {
+  for (auto _ : state) {
+    SparseMemory mem;
+    mem.PreFault(0x1000'0000, MiB(64));
+    benchmark::DoNotOptimize(mem.ResidentPages());
+  }
+}
+BENCHMARK(BM_SparseMemoryPreFault);
+
 void BM_ZipfianNext(benchmark::State& state) {
   Rng rng(1);
   workload::ZipfianGenerator gen(1'000'000, 0.99);

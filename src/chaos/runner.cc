@@ -382,8 +382,6 @@ struct ChaosHarness {
     if (scenario == CongestionScenario::kIncast) {
       const auto* mem_mr = memory_dev.RegisterMemory(kBgMemBase, kBgSpan);
       const auto* spot_mr = spot_dev.RegisterMemory(kBgMemBase, kBgSpan);
-      memory_mem.PreFault(kBgMemBase, kBgSpan);
-      spot_mem.PreFault(kBgMemBase, kBgSpan);
       compute_mem.PreFault(kBgLocalBase, 2 * kBgSpan);
       bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, memory_dev),
                                 /*write=*/false, kBgLocalBase, mem_mr->base,
@@ -393,7 +391,6 @@ struct ChaosHarness {
                                 spot_mr->base, spot_mr->rkey});
     } else {
       const auto* mem_mr = memory_dev.RegisterMemory(kBgMemBase, kBgSpan);
-      memory_mem.PreFault(kBgMemBase, kBgSpan);
       compute_mem.PreFault(kBgLocalBase, kBgSpan);
       spot_mem.PreFault(kBgLocalBase, kBgSpan);
       bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, memory_dev),

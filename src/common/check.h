@@ -28,7 +28,17 @@ namespace cowbird {
 
 #define CHECK_COWBIRD COWBIRD_CHECK  // alias guard against macro collisions
 
-#ifndef NDEBUG
+// Sanitizer builds keep DCHECKs on: ASan cannot see inside the host
+// mappings behind SparseMemory, so those bounds are checked by hand.
+#if defined(__SANITIZE_ADDRESS__)
+#define COWBIRD_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define COWBIRD_SANITIZED 1
+#endif
+#endif
+
+#if !defined(NDEBUG) || defined(COWBIRD_SANITIZED)
 #define COWBIRD_DCHECK(expr) COWBIRD_CHECK(expr)
 #else
 #define COWBIRD_DCHECK(expr) \

@@ -1,68 +1,140 @@
 #include "common/sparse_memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <iterator>
+#include <limits>
 
 namespace cowbird {
 
-std::uint8_t* SparseMemory::EnsurePage(std::uint64_t page_index) {
-  CachedPage& slot = cache_[page_index % kCacheWays];
-  if (slot.index == page_index) return slot.page;
-  auto it = pages_.find(page_index);
-  if (it == pages_.end()) {
-    auto page = std::make_unique<std::uint8_t[]>(kPageSize);
-    std::memset(page.get(), 0, kPageSize);
-    it = pages_.emplace(page_index, std::move(page)).first;
-  }
-  slot = CachedPage{page_index, it->second.get()};
-  return slot.page;
+namespace {
+constexpr std::uint64_t AlignDown(std::uint64_t v, std::uint64_t align) {
+  return v / align * align;
+}
+constexpr std::uint64_t AlignUp(std::uint64_t v, std::uint64_t align) {
+  return AlignDown(v + align - 1, align);
+}
+}  // namespace
+
+std::vector<SparseMemory::Extent>::const_iterator SparseMemory::After(
+    std::uint64_t addr) const {
+  return std::upper_bound(
+      extents_.begin(), extents_.end(), addr,
+      [](std::uint64_t a, const Extent& e) { return a < e.base; });
 }
 
-const std::uint8_t* SparseMemory::FindPage(std::uint64_t page_index) const {
-  CachedPage& slot = cache_[page_index % kCacheWays];
-  if (slot.index == page_index) return slot.page;
-  auto it = pages_.find(page_index);
-  if (it == pages_.end()) return nullptr;  // not cached: stays a miss until written
-  slot = CachedPage{page_index, it->second.get()};
-  return slot.page;
+const SparseMemory::Extent* SparseMemory::Find(std::uint64_t addr) const {
+  const auto next = After(addr);
+  if (next == extents_.begin() || addr >= std::prev(next)->end) return nullptr;
+  return &*std::prev(next);
+}
+
+std::uint8_t* SparseMemory::Locate(std::uint64_t addr,
+                                   std::uint64_t* avail) const {
+  const std::uint64_t index = addr / kPageSize;
+  CachedPage& slot = cache_[index % kCacheWays];
+  if (slot.index != index) {
+    const Extent* e = Find(addr);
+    if (e == nullptr) return nullptr;  // unmapped: not cached
+    slot = CachedPage{index, e->host + (index * kPageSize - e->base), e->end};
+  }
+  *avail = slot.end - addr;
+  return slot.page + addr % kPageSize;
+}
+
+bool SparseMemory::CopyInsideExtent(std::uint64_t addr,
+                                    const std::uint8_t* host,
+                                    std::uint64_t len) const {
+  const Extent* e = Find(addr);
+  return e != nullptr && len <= e->end - addr &&
+         host == e->host + (addr - e->base);
+}
+
+void SparseMemory::Map(std::uint64_t lo, std::uint64_t hi) {
+  COWBIRD_CHECK(lo < hi && lo % kPageSize == 0 && hi % kPageSize == 0);
+  void* host = mmap(nullptr, hi - lo, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  COWBIRD_CHECK(host != MAP_FAILED);
+  extents_.insert(After(lo), Extent{lo, hi, static_cast<std::uint8_t*>(host)});
+}
+
+void SparseMemory::Unmap() {
+  for (const Extent& e : extents_) munmap(e.host, e.end - e.base);
+  extents_.clear();
+  cache_ = {};
 }
 
 void SparseMemory::PreFault(std::uint64_t addr, Bytes len) {
   if (len <= 0) return;
-  const std::uint64_t first = addr / kPageSize;
-  const std::uint64_t last = (addr + static_cast<std::uint64_t>(len) - 1) / kPageSize;
-  for (std::uint64_t page = first; page <= last; ++page) EnsurePage(page);
+  std::uint64_t pos = AlignDown(addr, kPageSize);
+  const std::uint64_t hi =
+      AlignUp(addr + static_cast<std::uint64_t>(len), kPageSize);
+  while (pos < hi) {
+    if (const Extent* e = Find(pos)) {
+      pos = e->end;  // already mapped
+      continue;
+    }
+    const auto next = After(pos);
+    const std::uint64_t gap_end =
+        next == extents_.end() ? hi : std::min(hi, next->base);
+    Map(pos, gap_end);
+    pos = gap_end;
+  }
+}
+
+std::size_t SparseMemory::ResidentPages() const {
+  std::uint64_t bytes = 0;
+  for (const Extent& e : extents_) bytes += e.end - e.base;
+  return static_cast<std::size_t>(bytes / kPageSize);
 }
 
 void SparseMemory::Write(std::uint64_t addr,
                          std::span<const std::uint8_t> data) {
-  std::uint64_t pos = addr;
   std::size_t done = 0;
   while (done < data.size()) {
-    const std::uint64_t page_index = pos / kPageSize;
-    const std::uint64_t in_page = pos % kPageSize;
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kPageSize - in_page, data.size() - done));
-    std::memcpy(EnsurePage(page_index) + in_page, data.data() + done, chunk);
-    pos += chunk;
-    done += chunk;
+    const std::uint64_t pos = addr + done;
+    std::uint64_t avail = 0;
+    std::uint8_t* dst = Locate(pos, &avail);
+    if (dst == nullptr) {
+      // Map the aligned chunk around `pos`, clipped to its neighbours.
+      const auto next = After(pos);
+      std::uint64_t lo = AlignDown(pos, kMapChunk);
+      std::uint64_t hi = lo + kMapChunk;
+      if (next != extents_.begin()) lo = std::max(lo, std::prev(next)->end);
+      if (next != extents_.end()) hi = std::min(hi, next->base);
+      Map(lo, hi);
+      continue;
+    }
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(avail, data.size() - done));
+    COWBIRD_DCHECK(CopyInsideExtent(pos, dst, n));
+    std::memcpy(dst, data.data() + done, n);
+    done += n;
   }
 }
 
 void SparseMemory::Read(std::uint64_t addr, std::span<std::uint8_t> out) const {
-  std::uint64_t pos = addr;
   std::size_t done = 0;
   while (done < out.size()) {
-    const std::uint64_t page_index = pos / kPageSize;
-    const std::uint64_t in_page = pos % kPageSize;
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kPageSize - in_page, out.size() - done));
-    if (const std::uint8_t* page = FindPage(page_index)) {
-      std::memcpy(out.data() + done, page + in_page, chunk);
+    const std::uint64_t pos = addr + done;
+    const std::uint64_t left = out.size() - done;
+    std::uint64_t avail = 0;
+    if (const std::uint8_t* src = Locate(pos, &avail)) {
+      const auto n = static_cast<std::size_t>(std::min(avail, left));
+      COWBIRD_DCHECK(CopyInsideExtent(pos, src, n));
+      std::memcpy(out.data() + done, src, n);
+      done += n;
     } else {
-      std::memset(out.data() + done, 0, chunk);
+      // Never mapped: zeros up to the next extent.
+      const auto next = After(pos);
+      const std::uint64_t gap = next == extents_.end()
+                                    ? std::numeric_limits<std::uint64_t>::max()
+                                    : next->base - pos;
+      const auto n = static_cast<std::size_t>(std::min(gap, left));
+      std::memset(out.data() + done, 0, n);
+      done += n;
     }
-    pos += chunk;
-    done += chunk;
   }
 }
 

@@ -2,16 +2,21 @@
 //
 // Node address spaces in the simulation can be large (a memory pool is tens
 // of GiB in the paper), but benchmarks only touch a fraction. SparseMemory
-// materializes 4 KiB pages on first write; reads of never-written memory
-// return zeros, like fresh anonymous mappings.
+// backs an address space with a few flat extents, each one anonymous
+// private host mapping: mapping reserves address space only, and the kernel
+// zero-fills a page the first time it is touched. rdma::Device maps every
+// MR it registers (the moral equivalent of ibv_reg_mr pinning); PreFault
+// maps pinned buffers that are never registered. A write to unmapped
+// memory maps the aligned kMapChunk around it; reads of never-mapped
+// memory return zeros, like fresh anonymous mappings.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -21,27 +26,38 @@ namespace cowbird {
 class SparseMemory {
  public:
   static constexpr std::uint64_t kPageSize = 4096;
+  // Granularity of the mapping a write to unmapped memory creates. It is
+  // virtual only, so a large chunk costs no RSS and keeps the extent count
+  // (and the process's mapping count) small.
+  static constexpr std::uint64_t kMapChunk = std::uint64_t{1} << 20;
 
   SparseMemory() = default;
+  ~SparseMemory() { Unmap(); }
   SparseMemory(const SparseMemory&) = delete;
   SparseMemory& operator=(const SparseMemory&) = delete;
-  SparseMemory(SparseMemory&& other) noexcept : pages_(std::move(other.pages_)) {
+  // A move hands the mappings over and leaves the source empty.
+  SparseMemory(SparseMemory&& other) noexcept
+      : extents_(std::move(other.extents_)) {
+    other.extents_.clear();
     other.cache_ = {};
   }
   SparseMemory& operator=(SparseMemory&& other) noexcept {
-    pages_ = std::move(other.pages_);
-    cache_ = {};
-    other.cache_ = {};
+    if (this != &other) {
+      Unmap();
+      extents_ = std::move(other.extents_);
+      other.extents_.clear();
+      cache_ = {};
+      other.cache_ = {};
+    }
     return *this;
   }
 
   void Write(std::uint64_t addr, std::span<const std::uint8_t> data);
   void Read(std::uint64_t addr, std::span<std::uint8_t> out) const;
 
-  // Materialize every page of [addr, addr+len) up front, the way an RDMA
-  // stack pins a registered MR at ibv_reg_mr time. Contents are unchanged
-  // (fresh pages read as zeros either way); this only moves the page
-  // allocations out of the datapath and into setup.
+  // Maps the page-aligned hull of [addr, addr+len) up front, so no write
+  // inside it maps anything later. Only the uncovered gaps are mapped:
+  // bytes already written stay, and no page is touched.
   void PreFault(std::uint64_t addr, Bytes len);
 
   // Typed helpers for the fixed-width fields the protocol moves around.
@@ -63,23 +79,42 @@ class SparseMemory {
     return value;
   }
 
-  std::size_t ResidentPages() const { return pages_.size(); }
-  Bytes ResidentBytes() const { return pages_.size() * kPageSize; }
+  // Mapped pages (the kernel backs only the touched ones) and the number
+  // of host mappings behind them.
+  std::size_t ResidentPages() const;
+  std::size_t Extents() const { return extents_.size(); }
 
  private:
-  using Page = std::unique_ptr<std::uint8_t[]>;
+  // [base, end) of the simulated address space backed by host memory at
+  // `host`. Page-aligned, disjoint, sorted by base.
+  struct Extent {
+    std::uint64_t base = 0;
+    std::uint64_t end = 0;
+    std::uint8_t* host = nullptr;
+  };
 
-  std::uint8_t* EnsurePage(std::uint64_t page_index);
-  const std::uint8_t* FindPage(std::uint64_t page_index) const;
+  // Host bytes backing `addr` and, in `*avail`, how many follow it inside
+  // the same extent; null when `addr` is unmapped.
+  std::uint8_t* Locate(std::uint64_t addr, std::uint64_t* avail) const;
+  // First extent whose base lies above `addr`.
+  std::vector<Extent>::const_iterator After(std::uint64_t addr) const;
+  // The extent holding `addr`, or null.
+  const Extent* Find(std::uint64_t addr) const;
+  // Maps [lo, hi), which must be an unmapped, page-aligned gap.
+  void Map(std::uint64_t lo, std::uint64_t hi);
+  void Unmap();
+  bool CopyInsideExtent(std::uint64_t addr, const std::uint8_t* host,
+                        std::uint64_t len) const;
 
-  std::unordered_map<std::uint64_t, Page> pages_;
-  // Direct-mapped cache over the page table. The datapath hammers a handful
-  // of ring/staging pages per op, and the hash lookup was ~15% of simulator
-  // wall time. Pages are never unmapped, so a cached pointer can only go
-  // stale through move (handled above) — never through eviction.
+  std::vector<Extent> extents_;
+  // Direct-mapped cache over the extent table. The datapath hammers a
+  // handful of ring/staging pages per op; a hit skips the binary search.
+  // Extents are never unmapped before destruction, so a cached pointer can
+  // only go stale through move (handled above).
   struct CachedPage {
     std::uint64_t index = ~std::uint64_t{0};
-    std::uint8_t* page = nullptr;
+    std::uint8_t* page = nullptr;  // host address of the page's first byte
+    std::uint64_t end = 0;         // end of the extent holding the page
   };
   static constexpr std::size_t kCacheWays = 32;
   mutable std::array<CachedPage, kCacheWays> cache_{};

@@ -300,12 +300,12 @@ void CowbirdP4Engine::ProbeTick() {
     // Time-division multiplexing across instances (Section 5.4), delegated
     // to the shared scheduler: eligibility = no probe already in flight,
     // credit = recent tail movement.
-    std::vector<offload::ProbeScheduler::Candidate> candidates;
-    candidates.reserve(instances_.size());
+    probe_candidates_.clear();
     for (const auto& inst : instances_) {
-      candidates.push_back({!inst->probe_inflight, inst->activity_credit});
+      probe_candidates_.push_back(
+          {!inst->probe_inflight, inst->activity_credit});
     }
-    const std::size_t at = scheduler_.PickNext(candidates);
+    const std::size_t at = scheduler_.PickNext(probe_candidates_);
     Instance& pick = *instances_[at];
     if (!pick.probe_inflight) EmitProbe(pick);
   }

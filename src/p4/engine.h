@@ -384,6 +384,8 @@ class CowbirdP4Engine : public net::PacketProcessor {
   Config config_;
   std::vector<std::unique_ptr<Instance>> instances_;
   offload::ProbeScheduler scheduler_;  // TDM + adaptive ramp (shared core)
+  // ProbeTick's per-tick candidate list, kept so a tick allocates nothing.
+  std::vector<offload::ProbeScheduler::Candidate> probe_candidates_;
   std::function<void(const net::Packet&)> control_handler_;
   bool started_ = false;
   bool probing_stopped_ = false;

@@ -34,6 +34,9 @@ const MemoryRegion* Device::RegisterMemory(std::uint64_t base, Bytes length) {
   region->length = length;
   region->rkey = MakeRkey(regions_.size());
   regions_.push_back(std::move(region));
+  // Registration maps the whole MR, the way ibv_reg_mr pins it: no write
+  // the NIC lands inside it maps anything later.
+  memory_->PreFault(base, length);
   return regions_.back().get();
 }
 

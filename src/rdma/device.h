@@ -82,6 +82,7 @@ class Device {
   Device& operator=(const Device&) = delete;
   ~Device();
 
+  // Registers [base, base+length) and maps it in the device's memory.
   const MemoryRegion* RegisterMemory(std::uint64_t base, Bytes length);
   const MemoryRegion* LookupRkey(std::uint32_t rkey) const;
 

@@ -48,10 +48,9 @@ struct Harness {
       : cfg(config), bed(16, compute_uplink) {
     pool_mr = bed.memory_dev.RegisterMemory(
         kPoolBase, cfg.records * cfg.record_size + KiB(4));
-    // Registered memory is pinned at ibv_reg_mr time on real hardware, so
-    // fault the record pool and the per-thread delivery windows in up front;
-    // page materialization must never land on the measured datapath.
-    bed.memory_mem.PreFault(kPoolBase, cfg.records * cfg.record_size + KiB(4));
+    // Registration mapped the record pool; map the per-thread delivery
+    // windows too, so no write on the measured datapath maps memory. The
+    // kernel still backs each page on its first touch.
     for (int t = 0; t < cfg.threads; ++t) {
       bed.compute_mem.PreFault(kHeapBase + t * kHeapStride, kHeapStride);
     }

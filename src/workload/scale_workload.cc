@@ -48,8 +48,6 @@ struct ScaleHarness {
       pool_mrs.push_back(
           bed.memory_devs[static_cast<std::size_t>(m)]->RegisterMemory(
               kPoolBase, pool_bytes));
-      bed.memory_mems[static_cast<std::size_t>(m)]->PreFault(kPoolBase,
-                                                             pool_bytes);
     }
     if (cfg.migrate) {
       // Client 0's region comes from an elastic ClusterPool instead of the
@@ -62,7 +60,6 @@ struct ScaleHarness {
       for (int m = 0; m < 2; ++m) {
         const auto mm = static_cast<std::size_t>(m);
         pool.AddServer(*bed.memory_devs[mm], kSlabBase, slab_bytes);
-        bed.memory_mems[mm]->PreFault(kSlabBase, slab_bytes);
       }
       if (cfg.telemetry != nullptr) {
         pool.BindTelemetry(cfg.telemetry->metrics, telemetry::Labels{});

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <span>
 #include <vector>
 
 #include "common/ring.h"
@@ -8,6 +10,7 @@
 #include "common/sparse_memory.h"
 #include "common/stats.h"
 #include "common/units.h"
+#include "test_seed.h"
 
 namespace cowbird {
 namespace {
@@ -222,7 +225,10 @@ TEST(SparseMemory, CrossPageWrite) {
   std::vector<std::uint8_t> out(data.size());
   mem.Read(addr, out);
   EXPECT_EQ(out, data);
-  EXPECT_EQ(mem.ResidentPages(), 4u);
+  // The write mapped the one aligned chunk around it.
+  EXPECT_EQ(mem.Extents(), 1u);
+  EXPECT_EQ(mem.ResidentPages(),
+            SparseMemory::kMapChunk / SparseMemory::kPageSize);
 }
 
 TEST(SparseMemory, TypedValues) {
@@ -230,6 +236,128 @@ TEST(SparseMemory, TypedValues) {
   mem.WriteValue<std::uint64_t>(8, 0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(mem.ReadValue<std::uint64_t>(8), 0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(mem.ReadValue<std::uint32_t>(8), 0xCAFEF00Du);  // little endian
+}
+
+TEST(SparseMemory, PreFaultKeepsWrittenBytesAndMapsOnlyGaps) {
+  SparseMemory mem;
+  const std::uint64_t base = 5 * SparseMemory::kMapChunk + 100;
+  std::vector<std::uint8_t> data(3000, 0x5A);
+  mem.Write(base, data);
+  ASSERT_EQ(mem.Extents(), 1u);
+  // Covers the mapped chunk plus gaps on both sides of it; the unaligned
+  // range's page hull spills one page into a fifth chunk.
+  mem.PreFault(base - 2 * SparseMemory::kMapChunk,
+               4 * SparseMemory::kMapChunk);
+  EXPECT_EQ(mem.Extents(), 3u);
+  EXPECT_EQ(mem.ResidentPages(),
+            4 * SparseMemory::kMapChunk / SparseMemory::kPageSize + 1);
+  std::vector<std::uint8_t> out(data.size());
+  mem.Read(base, out);
+  EXPECT_EQ(out, data);
+  // Everything inside the prefaulted range is mapped already.
+  mem.Write(base - 2 * SparseMemory::kMapChunk, data);
+  mem.Write(base + 2 * SparseMemory::kMapChunk - 1, data);
+  EXPECT_EQ(mem.Extents(), 3u);
+}
+
+TEST(SparseMemory, ScatteredLazyWritesMapOneExtentPerChunk) {
+  SparseMemory mem;
+  constexpr std::uint64_t kChunks = 24;
+  Rng rng(77);
+  for (std::uint64_t c = 0; c < kChunks; ++c) {
+    // Three writes anywhere in every other chunk, visited in a scattered
+    // order, half of them near 0 and half near 2^40.
+    const std::uint64_t chunk = (c * 7 % kChunks) * 2 + (c % 2) * (1ull << 20);
+    for (int w = 0; w < 3; ++w) {
+      const std::uint64_t off =
+          rng.Below(SparseMemory::kMapChunk - 8) & ~std::uint64_t{7};
+      mem.WriteValue<std::uint64_t>(chunk * SparseMemory::kMapChunk + off, c);
+    }
+  }
+  EXPECT_LE(mem.Extents(), kChunks);
+  EXPECT_EQ(mem.ResidentPages(),
+            kChunks * SparseMemory::kMapChunk / SparseMemory::kPageSize);
+}
+
+// Seeded random scripts of Write, Read, PreFault and moves against a dense
+// byte-array reference, over zones that straddle chunk boundaries, extents
+// and gaps, and 2^40.
+TEST(SparseMemory, RandomScriptsMatchByteReference) {
+  constexpr std::uint64_t kChunk = SparseMemory::kMapChunk;
+  constexpr std::uint64_t kZone = 6 * kChunk;
+  const std::uint64_t zones[] = {0, 37 * kChunk + 1234,
+                                 (1ull << 40) - 3 * kChunk - 999,
+                                 (1ull << 40) + 11 * kChunk};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    COWBIRD_SCOPED_SEED(seed);
+    Rng rng(seed);
+    SparseMemory mem;
+    std::vector<std::vector<std::uint8_t>> ref(
+        std::size(zones), std::vector<std::uint8_t>(kZone, 0));
+    const auto pick_len = [&] {
+      const std::uint64_t kind = rng.Below(20);
+      if (kind < 14) return rng.Between(1, 600);
+      if (kind < 19) return rng.Between(1, 20000);
+      return rng.Between(kChunk / 2, 2 * kChunk);
+    };
+    std::vector<std::uint8_t> buf;
+    for (int op = 0; op < 300; ++op) {
+      const std::size_t z = rng.Below(std::size(zones));
+      const std::uint64_t len = pick_len();
+      std::uint64_t off = rng.Below(kZone - len + 1);
+      if (rng.Below(3) == 0) {
+        // Start within 128 bytes of a page or chunk boundary, where extents
+        // begin and end.
+        const std::uint64_t grain =
+            rng.Below(2) == 0 ? kChunk : SparseMemory::kPageSize;
+        const std::uint64_t start =
+            (zones[z] + off) / grain * grain + rng.Below(256) - 128;
+        if (start >= zones[z] && start - zones[z] <= kZone - len) {
+          off = start - zones[z];
+        }
+      }
+      const std::uint64_t addr = zones[z] + off;
+      const std::uint64_t kind = rng.Below(100);
+      if (kind < 45) {
+        buf.resize(len);
+        for (auto& b : buf) b = static_cast<std::uint8_t>(rng.Next());
+        mem.Write(addr, buf);
+        std::memcpy(ref[z].data() + off, buf.data(), len);
+      } else if (kind < 80) {
+        buf.assign(len, 0xEE);
+        mem.Read(addr, buf);
+        ASSERT_EQ(0, std::memcmp(buf.data(), ref[z].data() + off, len))
+            << "read of " << len << " bytes at " << addr << ", op " << op;
+      } else if (kind < 95) {
+        const std::size_t extents = mem.Extents();
+        mem.PreFault(addr, static_cast<Bytes>(len));
+        ASSERT_GE(mem.Extents(), extents);
+        // The range is mapped now: writing into it maps nothing more.
+        const std::size_t mapped = mem.Extents();
+        const std::uint8_t edge[2] = {ref[z][off], ref[z][off + len - 1]};
+        mem.Write(addr, std::span<const std::uint8_t>(edge, 1));
+        mem.Write(addr + len - 1, std::span<const std::uint8_t>(edge + 1, 1));
+        ASSERT_EQ(mem.Extents(), mapped);
+      } else if (kind < 98) {
+        SparseMemory moved(std::move(mem));
+        EXPECT_EQ(mem.Extents(), 0u);
+        EXPECT_EQ(mem.ResidentPages(), 0u);
+        mem = std::move(moved);
+        EXPECT_EQ(moved.Extents(), 0u);
+      } else {
+        // Move-assign over a non-empty target, whose mappings are dropped.
+        SparseMemory other;
+        other.Write(zones[z], std::vector<std::uint8_t>(64, 0x11));
+        other = std::move(mem);
+        mem = std::move(other);
+      }
+    }
+    for (std::size_t z = 0; z < std::size(zones); ++z) {
+      buf.assign(kZone, 0xEE);
+      mem.Read(zones[z], buf);
+      ASSERT_EQ(buf, ref[z]) << "zone " << z;
+    }
+  }
 }
 
 }  // namespace

@@ -169,8 +169,6 @@ TEST(DcqcnConvergence, TwoCompetingFlowsConvergeToFairShare) {
   QpPair flow2 = ConnectQueuePairs(*f.devs[0], *f.devs[2]);
   const auto* mr1 = f.devs[1]->RegisterMemory(kPoolBase, kPoolBytes);
   const auto* mr2 = f.devs[2]->RegisterMemory(kPoolBase, kPoolBytes);
-  f.mems[1]->PreFault(kPoolBase, kPoolBytes);
-  f.mems[2]->PreFault(kPoolBase, kPoolBytes);
 
   ReadLoad load1(f.sim, flow1, mr1, /*window=*/32, seed * 2 + 1);
   ReadLoad load2(f.sim, flow2, mr2, /*window=*/32, seed * 2 + 2);
@@ -212,9 +210,6 @@ TEST(DcqcnConvergence, VictimFlowOnUncongestedPortKeepsItsSoloRate) {
     const auto* mr1 = f.devs[1]->RegisterMemory(kPoolBase, kPoolBytes);
     const auto* mr2 = f.devs[2]->RegisterMemory(kPoolBase, kPoolBytes);
     const auto* mr4 = f.devs[4]->RegisterMemory(kPoolBase, kPoolBytes);
-    f.mems[1]->PreFault(kPoolBase, kPoolBytes);
-    f.mems[2]->PreFault(kPoolBase, kPoolBytes);
-    f.mems[4]->PreFault(kPoolBase, kPoolBytes);
     ReadLoad victim_load(f.sim, victim, mr4, /*window=*/32, seed * 3 + 1);
     std::unique_ptr<ReadLoad> incast1, incast2;
     if (with_incast) {

@@ -83,6 +83,32 @@ TEST(ReqIdTest, EncodesAllFields) {
   EXPECT_FALSE(ReqId().valid());
 }
 
+TEST(CowbirdClientSetup, ConstructionMapsTheWholeRingMr) {
+  TestFabric f;
+  CowbirdClient::Config config;
+  config.layout.base = 0x10000;
+  config.layout.threads = 3;
+  config.layout.meta_slots = 64;
+  config.layout.data_capacity = KiB(256);
+  config.layout.resp_capacity = KiB(256);
+  ASSERT_EQ(f.compute_mem.ResidentPages(), 0u);
+  CowbirdClient client(f.compute_dev, config);
+  const InstanceLayout& layout = client.descriptor().layout;
+  EXPECT_EQ(f.compute_mem.ResidentPages() * SparseMemory::kPageSize,
+            (layout.base + layout.TotalBytes() + SparseMemory::kPageSize - 1) /
+                    SparseMemory::kPageSize * SparseMemory::kPageSize -
+                layout.base);
+  // Every ring of every thread is mapped already: touching their ends maps
+  // nothing on the datapath.
+  const std::size_t extents = f.compute_mem.Extents();
+  for (int t = 0; t < layout.threads; ++t) {
+    f.compute_mem.WriteValue<std::uint8_t>(layout.MetaRingAddr(t), 1);
+    f.compute_mem.WriteValue<std::uint8_t>(
+        layout.RespRingAddr(t) + layout.resp_capacity - 1, 1);
+  }
+  EXPECT_EQ(f.compute_mem.Extents(), extents);
+}
+
 class ClientTest : public ::testing::Test {
  protected:
   static constexpr std::uint64_t kBufBase = 0x10000;

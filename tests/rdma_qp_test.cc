@@ -536,5 +536,30 @@ TEST_F(QpTest, VerbWrappersChargeCommunicationTime) {
   EXPECT_EQ(thread.TimeIn(sim::CpuCategory::kCompute), 0);
 }
 
+TEST(RegisterMemory, MapsTheWholeRegion) {
+  TestFabric f;
+  constexpr std::uint64_t kBase = 0x7000'0000 + 100;  // unaligned on purpose
+  constexpr Bytes kLen = MiB(5) + 300;
+  ASSERT_EQ(f.memory_mem.ResidentPages(), 0u);
+  const MemoryRegion* mr = f.memory_dev.RegisterMemory(kBase, kLen);
+  ASSERT_NE(mr, nullptr);
+  // The page-aligned hull of the MR, nothing more.
+  const std::uint64_t first = kBase / SparseMemory::kPageSize;
+  const std::uint64_t last = (kBase + kLen - 1) / SparseMemory::kPageSize;
+  EXPECT_EQ(f.memory_mem.ResidentPages(), last - first + 1);
+  // Writes anywhere inside the MR map nothing new.
+  const std::size_t extents = f.memory_mem.Extents();
+  const std::size_t pages = f.memory_mem.ResidentPages();
+  Rng rng(5);
+  const std::vector<std::uint8_t> data(64, 0xC3);
+  f.memory_mem.Write(kBase, data);
+  f.memory_mem.Write(kBase + kLen - data.size(), data);
+  for (int i = 0; i < 200; ++i) {
+    f.memory_mem.Write(kBase + rng.Below(kLen - data.size() + 1), data);
+  }
+  EXPECT_EQ(f.memory_mem.Extents(), extents);
+  EXPECT_EQ(f.memory_mem.ResidentPages(), pages);
+}
+
 }  // namespace
 }  // namespace cowbird::rdma
