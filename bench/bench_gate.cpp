@@ -15,15 +15,17 @@
 //                               stray allocations per thousand ops do not
 //                               page anyone, while a per-tick or per-op
 //                               allocation does.
-//   * events_per_op           — dispatched events per op; deterministic and
-//                               the structural cost of the datapath, so it
-//                               must match exactly (zero tolerance).
-//   * mops / latency / etc.   — simulated outcomes, bit-deterministic by
-//                               construction; fail on drift in EITHER
-//                               direction (a drift here is a behavior
-//                               change, not a slow machine).
-//   * ops / wall_ms / jobs / alloc_bytes_per_op — informational, never
-//                               gated.
+//   * everything else         — simulated outcomes (MOPS, simulated
+//                               latency, drop/mark/pause/retransmit counts,
+//                               op totals) and dispatched events per op;
+//                               bit-deterministic by construction, so they
+//                               must match exactly (zero tolerance). A
+//                               drift of any size is a behavior change, not
+//                               a slow machine: a same-timestamp tie-break
+//                               moving one incast row by 0.9% is exactly
+//                               what this gate exists to catch.
+//   * ops / wall_ms / jobs / samples / alloc_bytes_per_op — informational,
+//                               never gated.
 //
 // Medians are taken across reps (rows whose params differ only in "rep").
 // Exit 0 = within tolerance, 1 = regression, 2 = usage/parse error.
@@ -55,8 +57,7 @@ using telemetry::ParseJson;
 enum class Direction {
   kLowerFails,   // throughput-like
   kHigherFails,  // cost-like
-  kBothFail,     // deterministic simulated outcome
-  kExact,        // deterministic structural cost: no tolerance at all
+  kExact,        // deterministic: no tolerance at all
   kIgnored,
 };
 
@@ -72,13 +73,12 @@ Direction DirectionFor(const std::string& metric, bool gate_wall) {
     return gate_wall ? Direction::kLowerFails : Direction::kIgnored;
   }
   if (metric == "allocations_per_op") return Direction::kHigherFails;
-  if (metric == "events_per_op") return Direction::kExact;
   if (metric == "ops" || metric == "wall_ms" ||
       metric == "alloc_bytes_per_op" || metric == "samples" ||
       metric == "jobs") {
     return Direction::kIgnored;
   }
-  return Direction::kBothFail;
+  return Direction::kExact;
 }
 
 // (group key, metric) → samples across reps. The group key is the params
@@ -175,7 +175,6 @@ int CompareOne(const fs::path& baseline_path, const fs::path& candidate_path,
     switch (dir) {
       case Direction::kLowerFails: ok = cand >= base - slack; break;
       case Direction::kHigherFails: ok = cand <= base + slack; break;
-      case Direction::kBothFail: ok = std::abs(cand - base) <= slack; break;
       case Direction::kExact: ok = cand == base; break;
       case Direction::kIgnored: break;
     }

@@ -13,6 +13,8 @@
 #include "common/rng.h"
 #include "common/sparse_memory.h"
 #include "core/request.h"
+#include "net/switch.h"
+#include "rdma/device.h"
 #include "rdma/wire.h"
 #include "sim/simulation.h"
 #include "telemetry/hub.h"
@@ -178,6 +180,39 @@ void BM_DeadlineRearm(benchmark::State& state) {
   state.counters["pool_high_water"] = static_cast<double>(high_water);
 }
 BENCHMARK(BM_DeadlineRearm);
+
+// One RDMA packet NIC -> switch -> NIC on an idle fabric: the device's tx
+// closure, the uplink, the switch pipeline, the egress link and the rx
+// closure (the packet names no QP, so the receiver parses and drops it).
+// Each link reserves its transmit-complete slot without queueing it, so a
+// packet that finds both links free costs 5 events, not 7.
+void BM_LinkHop(benchmark::State& state) {
+  sim::Simulation sim;
+  net::Switch sw(sim, net::Switch::Config{});
+  net::HostNic nic_a(sim, 1, BitRate::Gbps(100), 500);
+  net::HostNic nic_b(sim, 2, BitRate::Gbps(100), 500);
+  nic_a.ConnectTo(sw);
+  nic_b.ConnectTo(sw);
+  SparseMemory mem_a;
+  SparseMemory mem_b;
+  rdma::Device dev_a(nic_a, mem_a, rdma::NicConfig{});
+  rdma::Device dev_b(nic_b, mem_b, rdma::NicConfig{});
+  rdma::Bth bth;
+  bth.opcode = rdma::Opcode::kReadRequest;
+  bth.dest_qp = 7;
+  const rdma::Reth reth{0x1000, 0x1234, 256};
+  for (auto _ : state) {
+    dev_a.EmitPacket(rdma::BuildRdmaPacket(1, 2, net::Priority::kRdma, bth,
+                                           &reth, nullptr, {}));
+    sim.Run();
+  }
+  benchmark::DoNotOptimize(dev_b.packets_received());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["events_per_packet"] =
+      static_cast<double>(sim.EventsProcessed()) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_LinkHop);
 
 void BM_CoroutineDelayRoundTrip(benchmark::State& state) {
   for (auto _ : state) {

@@ -3,8 +3,10 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <iterator>
 #include <limits>
+#include <string>
 
 namespace cowbird {
 
@@ -15,7 +17,26 @@ constexpr std::uint64_t AlignDown(std::uint64_t v, std::uint64_t align) {
 constexpr std::uint64_t AlignUp(std::uint64_t v, std::uint64_t align) {
   return AlignDown(v + align - 1, align);
 }
+
+std::string RangeMessage(const char* op, std::uint64_t addr,
+                         std::uint64_t len) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "SparseMemory::%s of %llu bytes at 0x%llx runs past 2^64",
+                op, static_cast<unsigned long long>(len),
+                static_cast<unsigned long long>(addr));
+  return buf;
+}
+
+// [addr, addr + len) must end inside the address space: one compare.
+void CheckRange(const char* op, std::uint64_t addr, std::uint64_t len) {
+  if (len > ~addr) [[unlikely]] throw AddressRangeError(op, addr, len);
+}
 }  // namespace
+
+AddressRangeError::AddressRangeError(const char* op, std::uint64_t addr,
+                                     std::uint64_t len)
+    : std::out_of_range(RangeMessage(op, addr, len)), addr_(addr), len_(len) {}
 
 std::vector<SparseMemory::Extent>::const_iterator SparseMemory::After(
     std::uint64_t addr) const {
@@ -91,6 +112,7 @@ std::size_t SparseMemory::ResidentPages() const {
 
 void SparseMemory::Write(std::uint64_t addr,
                          std::span<const std::uint8_t> data) {
+  CheckRange("Write", addr, data.size());
   std::size_t done = 0;
   while (done < data.size()) {
     const std::uint64_t pos = addr + done;
@@ -115,6 +137,7 @@ void SparseMemory::Write(std::uint64_t addr,
 }
 
 void SparseMemory::Read(std::uint64_t addr, std::span<std::uint8_t> out) const {
+  CheckRange("Read", addr, out.size());
   std::size_t done = 0;
   while (done < out.size()) {
     const std::uint64_t pos = addr + done;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,20 @@
 #include "common/units.h"
 
 namespace cowbird {
+
+// A Read or Write whose range [addr, addr + len) does not end inside the
+// 64-bit address space. No simulated address space wraps, so the access is
+// refused rather than continued at address 0.
+class AddressRangeError : public std::out_of_range {
+ public:
+  AddressRangeError(const char* op, std::uint64_t addr, std::uint64_t len);
+  std::uint64_t addr() const { return addr_; }
+  std::uint64_t len() const { return len_; }
+
+ private:
+  std::uint64_t addr_;
+  std::uint64_t len_;
+};
 
 class SparseMemory {
  public:
@@ -52,6 +67,7 @@ class SparseMemory {
     return *this;
   }
 
+  // Both throw AddressRangeError for a range that runs past 2^64 - 1.
   void Write(std::uint64_t addr, std::span<const std::uint8_t> data);
   void Read(std::uint64_t addr, std::span<std::uint8_t> out) const;
 

@@ -36,8 +36,9 @@ class GreedyFlow {
         config_(config) {
     // Data packets arrive at the sink; ACKs return to the source on the
     // same UDP port.
-    sink_->SetPortReceiver(port_, [this](Packet p) { OnData(std::move(p)); });
-    source_->SetPortReceiver(port_, [this](Packet) { OnAck(); });
+    sink_->SetPortReceiver(port_,
+                           [this](Packet&& p) { OnData(p); });
+    source_->SetPortReceiver(port_, [this](Packet&&) { OnAck(); });
   }
 
   void Start() {
@@ -64,7 +65,7 @@ class GreedyFlow {
     source_->Send(std::move(p));
   }
 
-  void OnData(Packet p) {
+  void OnData(const Packet& p) {
     delivered_bytes_ += p.bytes.size() - kL2L3L4Bytes;
     Packet ack = MakeUdpPacket(sink_->id(), source_->id(), /*payload_len=*/8,
                                Priority::kControl, port_);

@@ -8,7 +8,16 @@ namespace cowbird::net {
 
 void Link::Send(Packet packet) {
   queue_.push_back(std::move(packet));
-  if (!busy_ && HasEligible()) StartNext();
+  if (!TransmitterIdle()) {
+    tx_done_.Wake();
+  } else if (HasEligible()) {
+    StartNext();
+  }
+}
+
+void Link::NotifyWhenIdle() {
+  idle_waiter_ = true;
+  if (!TransmitterIdle()) tx_done_.Wake();
 }
 
 bool Link::HasEligible() const {
@@ -39,7 +48,7 @@ void Link::ResumeData() {
   data_paused_ = false;
   paused_ns_ += static_cast<std::uint64_t>(sim_->Now() - pause_started_at_);
   pause_timer_.Cancel();
-  if (!busy_ && HasEligible()) StartNext();
+  if (TransmitterIdle() && HasEligible()) StartNext();
 }
 
 void Link::StartNext() {
@@ -60,7 +69,6 @@ void Link::StartNext() {
     }
   }
   COWBIRD_CHECK(next < queue_.size());
-  busy_ = true;
   Packet packet = std::move(queue_[next]);
   queue_.erase_at(next);
   const Nanos tx = rate_.TransmitTime(packet.WireBytes());
@@ -70,20 +78,25 @@ void Link::StartNext() {
                       [this, p = std::move(packet)]() mutable {
                         Deliver(std::move(p));
                       });
-  sim_->ScheduleAfter(tx, [this] {
-    busy_ = false;
-    if (HasEligible()) {
-      StartNext();
-    } else if (queue_.empty() && idle_callback_) {
-      // Data held behind a pause is neither transmitted nor "drained": the
-      // idle callback only fires on a genuinely empty queue; ResumeData
-      // re-kicks held packets when the pause lifts.
-      idle_callback_();
-    }
-  });
+  // The transmitter frees up at the slot an eagerly scheduled
+  // transmit-complete event would take; only a waiter makes it an event.
+  tx_done_.Reserve(tx);
+  if (!queue_.empty() || idle_waiter_) tx_done_.Wake();
 }
 
-void Link::Deliver(Packet packet) {
+void Link::OnTransmitComplete() {
+  if (HasEligible()) {
+    StartNext();
+  } else if (queue_.empty() && idle_waiter_) {
+    // Data held behind a pause is neither transmitted nor "drained": the
+    // idle callback only fires on a genuinely empty queue; ResumeData
+    // re-kicks held packets when the pause lifts.
+    idle_waiter_ = false;
+    if (idle_callback_) idle_callback_();
+  }
+}
+
+void Link::Deliver(Packet&& packet) {
   if (drop_filter_ && drop_filter_(packet)) {
     ++packets_dropped_;
     return;
@@ -124,7 +137,7 @@ void Link::Deliver(Packet packet) {
   }
 }
 
-void Link::Arrive(Packet packet) {
+void Link::Arrive(Packet&& packet) {
   ++packets_delivered_;
   bytes_delivered_ += packet.bytes.size();
   if (receiver_) receiver_(std::move(packet));

@@ -3,10 +3,14 @@
 // A link transmits one packet at a time at its configured rate; completed
 // packets propagate for `propagation` ns and are handed to the receiver.
 // Multiple packets can be in flight on the wire simultaneously (transmission
-// pipelines with propagation). Loss is injected at delivery time through an
-// optional drop filter — corruption and congestive loss look identical to
-// the endpoints, which is all the Go-Back-N recovery path (Section 5.3)
-// can observe anyway.
+// pipelines with propagation). The transmitter's free moment is a reserved
+// sim::Deadline slot: an event is queued there only when something waits
+// for it (a packet on the link queue, or an idle waiter), so a packet that
+// finds the link free costs one delivery event per hop.
+//
+// Loss is injected at delivery time through an optional drop filter —
+// corruption and congestive loss look identical to the endpoints, which is
+// all the Go-Back-N recovery path (Section 5.3) can observe anyway.
 //
 // Beyond plain loss, a fault filter can mutate delivery: drop, duplicate,
 // delay, or hold a packet long enough that later arrivals overtake it
@@ -43,13 +47,19 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  void set_receiver(std::function<void(Packet)> receiver) {
+  void set_receiver(std::function<void(Packet&&)> receiver) {
     receiver_ = std::move(receiver);
   }
-  // Fires whenever the transmitter drains its queue and goes idle.
+  // Fires once after NotifyWhenIdle(), at the first transmit-complete slot
+  // that finds the link queue empty (data held behind a pause does not
+  // count as drained).
   void set_idle_callback(std::function<void()> cb) {
     idle_callback_ = std::move(cb);
   }
+  // Registers the idle callback's owner as a waiter. The registration
+  // persists across transmits of the link's own queue until the callback
+  // runs; a waiter that still holds packets registers again from it.
+  void NotifyWhenIdle();
   // Return true to drop the packet (applied as the packet would arrive).
   void set_drop_filter(std::function<bool(const Packet&)> filter) {
     drop_filter_ = std::move(filter);
@@ -82,7 +92,7 @@ class Link {
   void ResumeData();
   bool data_paused() const { return data_paused_; }
 
-  bool TransmitterIdle() const { return !busy_; }
+  bool TransmitterIdle() const { return tx_done_.Passed(); }
   std::size_t QueuedPackets() const { return queue_.size(); }
   BitRate rate() const { return rate_; }
   Nanos propagation() const { return propagation_; }
@@ -115,19 +125,23 @@ class Link {
   // only kControl while data-paused).
   bool HasEligible() const;
   void StartNext();
-  void Deliver(Packet packet);
-  void Arrive(Packet packet);
+  // Runs at a woken transmit-complete slot.
+  void OnTransmitComplete();
+  void Deliver(Packet&& packet);
+  void Arrive(Packet&& packet);
 
   sim::Simulation* sim_;
   BitRate rate_;
   Nanos propagation_;
-  std::function<void(Packet)> receiver_;
+  std::function<void(Packet&&)> receiver_;
   std::function<void()> idle_callback_;
   std::function<bool(const Packet&)> drop_filter_;
   std::function<FaultAction(const Packet&)> fault_filter_;
   FixedDeque<Packet> queue_;
   bool priority_scheduling_ = false;
-  bool busy_ = false;
+  // Transmit-complete slot of the packet on the wire (passed when idle).
+  sim::Deadline tx_done_{*sim_, [this] { OnTransmitComplete(); }};
+  bool idle_waiter_ = false;
   bool data_paused_ = false;
   Nanos pause_started_at_ = 0;
   sim::Deadline pause_timer_{*sim_, [this] { ResumeData(); }};

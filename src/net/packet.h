@@ -263,11 +263,18 @@ class PacketBuffer {
     size_ = other.size_;
   }
 
+  // A packet moves through several frames per hop, leaving a moved-from
+  // buffer behind each time: releasing one is a single inline test, and
+  // only a buffer that owns storage takes the out-of-line return.
   void ReleaseStorage() {
+    if (cap_ != 0) ReturnStorage();
+  }
+
+  [[gnu::noinline]] void ReturnStorage() {
     if (cap_ == kSlotBytes) {
       Cache().free.push_back(data_);
       --Cache().stats.in_use;
-    } else if (cap_ > 0) {
+    } else {
       delete[] data_;
     }
     data_ = nullptr;

@@ -36,16 +36,18 @@ TrunkPorts ConnectTrunk(Switch& a, Switch& b, BitRate rate, Nanos propagation) {
   TrunkPorts trunk;
   trunk.a_port = a.AddPort(rate, propagation);
   trunk.b_port = b.AddPort(rate, propagation);
-  a.EgressLink(trunk.a_port).set_receiver([&b, port = trunk.b_port](Packet p) {
-    b.OnIngress(port, std::move(p));
-  });
-  b.EgressLink(trunk.b_port).set_receiver([&a, port = trunk.a_port](Packet p) {
-    a.OnIngress(port, std::move(p));
-  });
+  a.EgressLink(trunk.a_port).set_receiver(
+      [&b, port = trunk.b_port](Packet&& p) {
+        b.OnIngress(port, std::move(p));
+      });
+  b.EgressLink(trunk.b_port).set_receiver(
+      [&a, port = trunk.a_port](Packet&& p) {
+        a.OnIngress(port, std::move(p));
+      });
   return trunk;
 }
 
-void Switch::OnIngress(int ingress_port, Packet packet) {
+void Switch::OnIngress(int ingress_port, Packet&& packet) {
   // PFC is handled at the MAC, below the forwarding pipeline: a pause
   // received on a port stops the switch transmitting data classes *to*
   // that port (the egress link shares the port index with the uplink the
@@ -69,7 +71,7 @@ void Switch::InjectGenerated(int gen_port, Packet packet) {
                       });
 }
 
-void Switch::RunPipeline(int ingress_port, Packet packet) {
+void Switch::RunPipeline(int ingress_port, Packet&& packet) {
   std::vector<ForwardAction>& actions = pipeline_scratch_;
   actions.clear();
   if (processor_ != nullptr) {
@@ -110,12 +112,16 @@ void Switch::EnqueueEgress(int port_index, Packet packet, int ingress_port) {
     ports_[ingress_port]->ingress_buffered += size;
     UpdatePfcOnEnqueue(ingress_port);
   }
-  if (port.link->TransmitterIdle()) Drain(port_index);
+  if (port.link->TransmitterIdle()) {
+    Drain(port_index);
+  } else {
+    port.link->NotifyWhenIdle();
+  }
 }
 
 void Switch::Drain(int port_index) {
   Port& port = *ports_[port_index];
-  if (!port.link->TransmitterIdle()) return;
+  COWBIRD_DCHECK(port.link->TransmitterIdle());
   // Strict priority: highest class first.
   for (int prio = static_cast<int>(Priority::kLevels) - 1; prio >= 0;
        --prio) {
@@ -132,6 +138,14 @@ void Switch::Drain(int port_index) {
     ++port.tx_packets;
     port.tx_bytes += entry.packet.bytes.size();
     port.link->Send(std::move(entry.packet));
+    // More to send: wait for the transmitter (or, if the packet was held
+    // behind a pause, for the next transmit that drains the link).
+    for (const auto& rest : port.queues) {
+      if (!rest.empty()) {
+        port.link->NotifyWhenIdle();
+        break;
+      }
+    }
     return;
   }
 }

@@ -34,7 +34,7 @@ class PacketProcessor {
  public:
   virtual ~PacketProcessor() = default;
   // Transform one ingress packet into zero or more egress actions.
-  virtual void Process(Switch& sw, int ingress_port, Packet packet,
+  virtual void Process(Switch& sw, int ingress_port, Packet&& packet,
                        std::vector<ForwardAction>& out) = 0;
 };
 
@@ -81,7 +81,7 @@ class Switch {
   int RouteFor(NodeId node) const;
 
   // Entry point for device uplinks (wire this as the uplink's receiver).
-  void OnIngress(int ingress_port, Packet packet);
+  void OnIngress(int ingress_port, Packet&& packet);
 
   // Entry point for the switch's internal packet generator: the packet goes
   // through the same pipeline as an ingress packet would. `gen_port` is the
@@ -152,7 +152,8 @@ class Switch {
     bool pause_asserted = false;
   };
 
-  void RunPipeline(int ingress_port, Packet packet);
+  void RunPipeline(int ingress_port, Packet&& packet);
+  // Sends the port's next queued packet; the egress link must be idle.
   void Drain(int port);
   void UpdatePfcOnEnqueue(int ingress_port);
   void UpdatePfcOnDequeue(int ingress_port);
@@ -199,21 +200,21 @@ class HostNic {
   void ConnectTo(Switch& sw) {
     switch_port_ = sw.AddPort(uplink_->rate(), uplink_->propagation());
     sw.SetRoute(id_, switch_port_);
-    uplink_->set_receiver([&sw, port = switch_port_](Packet p) {
+    uplink_->set_receiver([&sw, port = switch_port_](Packet&& p) {
       sw.OnIngress(port, std::move(p));
     });
-    sw.EgressLink(switch_port_).set_receiver([this](Packet p) {
+    sw.EgressLink(switch_port_).set_receiver([this](Packet&& p) {
       Dispatch(std::move(p));
     });
   }
 
-  void Send(Packet packet) { uplink_->Send(packet); }
+  void Send(Packet packet) { uplink_->Send(std::move(packet)); }
 
   void SetPortReceiver(std::uint16_t udp_port,
-                       std::function<void(Packet)> receiver) {
+                       std::function<void(Packet&&)> receiver) {
     port_receivers_.emplace_back(udp_port, std::move(receiver));
   }
-  void SetDefaultReceiver(std::function<void(Packet)> receiver) {
+  void SetDefaultReceiver(std::function<void(Packet&&)> receiver) {
     default_receiver_ = std::move(receiver);
   }
 
@@ -222,7 +223,7 @@ class HostNic {
   sim::Simulation& simulation() { return *sim_; }
 
  private:
-  void Dispatch(Packet packet) {
+  void Dispatch(Packet&& packet) {
     // PFC frames terminate at the MAC: pause (or resume) the uplink's data
     // classes instead of reaching any UDP consumer.
     if (IsPfcFrame(packet)) {
@@ -245,9 +246,9 @@ class HostNic {
   NodeId id_;
   std::unique_ptr<Link> uplink_;
   int switch_port_ = -1;
-  std::vector<std::pair<std::uint16_t, std::function<void(Packet)>>>
+  std::vector<std::pair<std::uint16_t, std::function<void(Packet&&)>>>
       port_receivers_;
-  std::function<void(Packet)> default_receiver_;
+  std::function<void(Packet&&)> default_receiver_;
 };
 
 }  // namespace cowbird::net

@@ -208,7 +208,7 @@ void ControlPlaneServer::HandlePacket(const net::Packet& packet) {
 ControlPlaneClient::ControlPlaneClient(net::HostNic& nic,
                                        net::NodeId switch_node_id)
     : nic_(&nic), switch_id_(switch_node_id) {
-  nic_->SetPortReceiver(kControlPort, [this](net::Packet packet) {
+  nic_->SetPortReceiver(kControlPort, [this](net::Packet&& packet) {
     const auto reply = ControlMessage::Parse(packet.L4Payload());
     if (!reply.has_value()) return;
     for (auto it = pending_.begin(); it != pending_.end(); ++it) {

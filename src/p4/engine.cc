@@ -333,7 +333,7 @@ void CowbirdP4Engine::EmitProbe(Instance& inst) {
 // ---------------------------------------------------------------------------
 
 void CowbirdP4Engine::Process(net::Switch& sw, int ingress_port,
-                              net::Packet packet,
+                              net::Packet&& packet,
                               std::vector<net::ForwardAction>& out) {
   (void)ingress_port;
   if (packet.dst == config_.switch_node_id) {
@@ -399,7 +399,7 @@ CowbirdP4Engine::SwitchQp& CowbirdP4Engine::PoolWriteQp(Instance& inst,
   COWBIRD_CHECK(false);
 }
 
-void CowbirdP4Engine::ConsumeRdma(net::Packet packet) {
+void CowbirdP4Engine::ConsumeRdma(net::Packet&& packet) {
   const rdma::RdmaMessageView view = rdma::ParseRdmaPacket(packet);
   SwitchQp* qp = nullptr;
   Instance* inst = InstanceForQpn(view.bth.dest_qp, &qp);

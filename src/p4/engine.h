@@ -164,7 +164,7 @@ class CowbirdP4Engine : public net::PacketProcessor {
   void Start();
 
   // net::PacketProcessor: every packet entering the switch.
-  void Process(net::Switch& sw, int ingress_port, net::Packet packet,
+  void Process(net::Switch& sw, int ingress_port, net::Packet&& packet,
                std::vector<net::ForwardAction>& out) override;
 
   // Table 5: resource usage of the configured pipeline.
@@ -313,7 +313,7 @@ class CowbirdP4Engine : public net::PacketProcessor {
   void EmitProbe(Instance& inst);
 
   // --- pipeline packet handling ---
-  void ConsumeRdma(net::Packet packet);
+  void ConsumeRdma(net::Packet&& packet);
   void HandleReadResponse(Instance& inst, SwitchQp& qp,
                           const rdma::RdmaMessageView& view,
                           const net::Packet& packet);

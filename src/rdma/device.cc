@@ -19,7 +19,7 @@ std::uint32_t MakeRkey(std::size_t index) {
 Device::Device(net::HostNic& nic, SparseMemory& memory, NicConfig config)
     : nic_(&nic), memory_(&memory), config_(config) {
   nic_->SetPortReceiver(net::kRoceUdpPort,
-                        [this](net::Packet p) { OnPacket(std::move(p)); });
+                        [this](net::Packet&& p) { OnPacket(std::move(p)); });
   if (config_.dcqcn.enabled) {
     congestion_ = std::make_unique<CongestionManager>(
         *this, config_.dcqcn, nic_->uplink().rate().GbpsValue());
@@ -88,7 +88,7 @@ void Device::EmitPaced(std::uint32_t qpn, net::Packet packet) {
   EmitPacket(std::move(packet));
 }
 
-void Device::OnPacket(net::Packet packet) {
+void Device::OnPacket(net::Packet&& packet) {
   ++packets_received_;
   simulation().ScheduleAfter(
       config_.processing_delay, [this, p = std::move(packet)]() mutable {

@@ -145,7 +145,7 @@ class Device {
   void UnbindTelemetry();
 
  private:
-  void OnPacket(net::Packet packet);
+  void OnPacket(net::Packet&& packet);
 
   net::HostNic* nic_;
   SparseMemory* memory_;

@@ -21,6 +21,7 @@ bool Simulation::PopAndDispatchOne() {
   queue_.pop();
   COWBIRD_CHECK(entry.when >= now_);
   now_ = entry.when;
+  passed_seq_ = entry.seq + 1;
   EventRecord* record = events_.TryGet(entry.event);
   if (record == nullptr) return true;  // wake dropped by its Deadline
   if (Deadline* deadline = record->deadline) {
@@ -42,7 +43,9 @@ void Simulation::Run() {
   halted_ = false;
   while (!halted_ && PopAndDispatchOne()) {
   }
-  if (!halted_) now_ = std::max(now_, deadline_horizon_);
+  if (halted_) return;
+  now_ = std::max(now_, deadline_horizon_);
+  passed_seq_ = next_seq_;
 }
 
 void Simulation::RunUntil(Nanos deadline) {
@@ -50,7 +53,10 @@ void Simulation::RunUntil(Nanos deadline) {
   while (!halted_ && !queue_.empty() && queue_.top().when <= deadline) {
     PopAndDispatchOne();
   }
-  if (now_ < deadline && !halted_) now_ = deadline;
+  if (halted_) return;
+  now_ = std::max(now_, deadline);
+  // Every slot at or before the deadline counts as dispatched.
+  passed_seq_ = next_seq_;
 }
 
 Simulation::RootTask Simulation::RunRoot(Task<void> task) {

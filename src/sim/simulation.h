@@ -11,7 +11,10 @@
 // costs nothing until the old wake pops, and then it re-queues itself at
 // the reserved slot. Wakes that do not run the callback are not counted in
 // EventsProcessed(), so dispatch order and event counts are exactly those
-// of one-event-per-arm scheduling with lazy cancellation.
+// of one-event-per-arm scheduling with lazy cancellation. A slot can also
+// be reserved with no wake at all and woken only on demand: a link
+// transmitter reserves its transmit-complete slot this way and queues an
+// event there only when something waits for the transmitter.
 //
 // Coroutine processes (sim::Task<void>) are attached with Spawn(); they
 // interact with the clock via `co_await sim.Delay(ns)` and with each other
@@ -44,12 +47,16 @@ using EventFn = InlineFunction<void()>;
 
 // A re-armable one-shot timer with at most one queue entry.
 //
-// Arm(delay) (re)sets the deadline to now + delay and reserves the queue
-// slot (time, seq) that ScheduleAfter would take at that moment. The
-// callback runs at that slot unless the timer is re-armed or canceled
-// first. A wake already queued at or before the new slot is kept; a later
-// one is dropped for a new wake at the slot. A wake that pops early
-// re-queues itself at the reserved slot; one that pops disarmed does
+// Reserve(delay) takes the queue slot (time, seq) that ScheduleAfter(delay)
+// would take at that moment — it consumes the sequence number — but queues
+// nothing. Wake() asks for the callback at the reserved slot; Arm(delay) is
+// Reserve plus Wake. A slot that dispatch passes unwoken costs no event and
+// runs nothing, and Passed() tells whether dispatch has reached it.
+//
+// The callback runs at the slot unless the timer is re-reserved or
+// canceled first. A wake already queued at or before the slot is kept; a
+// later one is dropped for a new wake at the slot. A wake that pops early
+// re-queues itself at the reserved slot; one that pops unwanted does
 // nothing. Neither counts as a processed event.
 //
 // The callback is bound once, at construction, and may re-arm its own
@@ -64,10 +71,21 @@ class Deadline {
   Deadline& operator=(const Deadline&) = delete;
   ~Deadline();
 
-  void Arm(Nanos delay);
+  void Arm(Nanos delay) {
+    Reserve(delay);
+    Wake();
+  }
+  void Reserve(Nanos delay);
+  // Requests the callback at the reserved slot, which dispatch must not
+  // have passed yet.
+  void Wake();
   void Cancel() { armed_ = false; }
-  // True from Arm() until the callback starts or Cancel().
+  // True from Wake() (or Arm()) until the callback starts or Cancel().
   bool Pending() const { return armed_; }
+  // True once dispatch has reached the reserved slot — while its callback
+  // runs, and for an unwoken slot from the first event after it. True
+  // before the first reservation.
+  bool Passed() const;
 
  private:
   friend class Simulation;
@@ -77,7 +95,7 @@ class Deadline {
   Simulation* sim_;
   EventFn fn_;
   bool armed_ = false;
-  Nanos when_ = 0;             // reserved slot of the current arm
+  Nanos when_ = -1;            // reserved slot; -1: none yet (passed)
   std::uint64_t seq_ = 0;
   PoolHandle wake_;            // queued wake's event record, if any
   Nanos wake_when_ = 0;
@@ -91,6 +109,9 @@ class Simulation {
   ~Simulation();
 
   Nanos Now() const { return now_; }
+  // Sequence number of the event being dispatched: with Now(), its unique
+  // (time, seq) queue key. Meaningful only inside an event handler.
+  std::uint64_t CurrentSeq() const { return passed_seq_ - 1; }
 
   // Templated so the closure is constructed directly inside the pooled
   // event record (InlineFunction's converting constructor) instead of being
@@ -178,6 +199,7 @@ class Simulation {
   // hottest loop in the simulator. Entries are 24-byte PODs by design.
   class EventHeap {
    public:
+    explicit EventHeap(std::size_t capacity) { v_.reserve(capacity); }
     bool empty() const { return v_.empty(); }
     const QueueEntry& top() const { return v_[0]; }
 
@@ -250,16 +272,22 @@ class Simulation {
   Nanos now_ = 0;
   bool halted_ = false;
   std::uint64_t next_seq_ = 0;
+  // Dispatch position at now_: every slot (now_, seq < passed_seq_) has
+  // been dispatched. Deadline::Passed() reads it for slots with no event.
+  std::uint64_t passed_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   // Latest slot any Deadline ever reserved. One-event-per-arm scheduling
   // would leave a dead entry at every abandoned slot, and draining the
   // queue would advance the clock past all of them; Run() does the same.
   Nanos deadline_horizon_ = 0;
-  EventHeap queue_;
+  // The heap and the record pool start at the same depth, so growing the
+  // heap (an allocation on the dispatch path) waits for the pool to grow.
+  static constexpr std::size_t kInitialEvents = 1024;
+  EventHeap queue_{kInitialEvents};
   // Event payloads, recycled at dispatch. A record whose handle went stale
   // (a Deadline dropped its wake) leaves a dead heap entry that pops as a
   // no-op.
-  Pool<EventRecord> events_{1024, /*growable=*/true};
+  Pool<EventRecord> events_{kInitialEvents, /*growable=*/true};
   // address → handle of still-live root coroutines, for teardown.
   std::unordered_map<void*, std::coroutine_handle<>> live_roots_;
 };
@@ -268,18 +296,28 @@ inline Deadline::~Deadline() {
   if (wake_) sim_->events_.Release(wake_);
 }
 
-inline void Deadline::Arm(Nanos delay) {
+inline void Deadline::Reserve(Nanos delay) {
   COWBIRD_CHECK(delay >= 0);
-  armed_ = true;
+  armed_ = false;
   when_ = sim_->now_ + delay;
   seq_ = sim_->next_seq_++;
   sim_->deadline_horizon_ = std::max(sim_->deadline_horizon_, when_);
+}
+
+inline void Deadline::Wake() {
+  COWBIRD_DCHECK(!Passed());
+  armed_ = true;
   // A queued wake at an earlier time also has the smaller seq.
   if (wake_) {
     if (wake_when_ <= when_) return;
     sim_->events_.Release(wake_);
   }
   PushWake();
+}
+
+inline bool Deadline::Passed() const {
+  return when_ < sim_->now_ ||
+         (when_ == sim_->now_ && seq_ < sim_->passed_seq_);
 }
 
 inline void Deadline::PushWake() {

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <iterator>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/ring.h"
@@ -229,6 +230,32 @@ TEST(SparseMemory, CrossPageWrite) {
   EXPECT_EQ(mem.Extents(), 1u);
   EXPECT_EQ(mem.ResidentPages(),
             SparseMemory::kMapChunk / SparseMemory::kPageSize);
+}
+
+TEST(SparseMemory, RangePastTheTopOfTheAddressSpaceIsRefused) {
+  SparseMemory mem;
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};  // 2^64 - 1
+  const std::uint64_t addr = kTop - 101;              // 2^64 - 102
+  std::vector<std::uint8_t> out(9002, 0xEE);
+  try {
+    mem.Read(addr, out);
+    ADD_FAILURE() << "a 9002-byte read at 2^64-102 must not wrap to 0";
+  } catch (const AddressRangeError& e) {
+    EXPECT_EQ(e.addr(), addr);
+    EXPECT_EQ(e.len(), 9002u);
+    EXPECT_NE(std::string(e.what()).find("Read of 9002 bytes"),
+              std::string::npos);
+  }
+  // Refused before any byte moved, and nothing was mapped.
+  EXPECT_EQ(out, std::vector<std::uint8_t>(9002, 0xEE));
+  EXPECT_THROW(mem.Write(addr, out), AddressRangeError);
+  EXPECT_EQ(mem.Extents(), 0u);
+
+  // A range ending at the last address is fine.
+  std::vector<std::uint8_t> tail(101, 0xEE);
+  mem.Read(addr, tail);
+  EXPECT_EQ(tail, std::vector<std::uint8_t>(101, 0));
+  EXPECT_THROW(mem.ReadValue<std::uint64_t>(kTop - 4), AddressRangeError);
 }
 
 TEST(SparseMemory, TypedValues) {

@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "net/flow.h"
 #include "net/link.h"
 #include "net/packet.h"
 #include "net/switch.h"
 #include "sim/simulation.h"
+#include "test_seed.h"
 
 namespace cowbird::net {
 namespace {
@@ -172,14 +181,330 @@ TEST(Link, FaultFilterDelayAndReorderLandInDistinctBuckets) {
 }
 
 TEST(Link, IdleCallbackFiresAfterDrain) {
+  // The idle callback serves a waiter: it runs once, at the first
+  // transmit-complete slot that finds the queue empty after
+  // NotifyWhenIdle(). With nobody waiting, a drained slot is no event.
   sim::Simulation sim;
   Link link(sim, BitRate::Gbps(100), 10);
-  int idle_count = 0;
-  link.set_idle_callback([&] { ++idle_count; });
-  link.Send(TestPacket(1, 2, 64));
+  std::vector<Nanos> idle_at;
+  link.set_idle_callback([&] { idle_at.push_back(sim.Now()); });
+  Packet first = TestPacket(1, 2, 64);
+  const Nanos tx = BitRate::Gbps(100).TransmitTime(first.WireBytes());
+  link.Send(std::move(first));
   link.Send(TestPacket(1, 2, 64));
   sim.Run();
-  EXPECT_EQ(idle_count, 1);  // only when the queue fully drains
+  EXPECT_TRUE(idle_at.empty());
+  // Two deliveries, plus the first packet's slot: the second packet waited
+  // for it. The last slot found an empty queue and cost nothing.
+  EXPECT_EQ(sim.EventsProcessed(), 3u);
+
+  // A waiter registered mid-burst is called back only once the whole
+  // queue has drained, and only once.
+  sim.ScheduleAt(1000, [&] {
+    link.Send(TestPacket(1, 2, 64));
+    link.NotifyWhenIdle();
+    link.Send(TestPacket(1, 2, 64));
+  });
+  sim.ScheduleAt(2000, [&] { link.Send(TestPacket(1, 2, 64)); });
+  sim.Run();
+  EXPECT_EQ(idle_at, (std::vector<Nanos>{1000 + 2 * tx}));
+
+  // A waiter registered on an idle link is called back after its next
+  // transmit.
+  sim.ScheduleAt(3000, [&] {
+    link.NotifyWhenIdle();
+    link.Send(TestPacket(1, 2, 64));
+  });
+  sim.Run();
+  EXPECT_EQ(idle_at, (std::vector<Nanos>{1000 + 2 * tx, 3000 + tx}));
+}
+
+// ------------------------------------------------- reserved transmit slots
+//
+// Property: a Link that reserves its transmit-complete slot and queues an
+// event there only for a waiter dispatches exactly like a transmitter that
+// queues one transmit-complete event per packet (EagerLink below, the
+// design it replaced). Random script steps — sends straight onto the
+// link, packets through a Switch egress queue, PFC pauses and resumes,
+// and foreign events — land on a coarse time grid so they tie with
+// transmit-completes. Every logged event keeps its (time, seq) key, every
+// packet arrives at the same time, and the only events saved are the
+// transmit-completes that found nothing to do.
+
+// One transmit-complete event per packet; the idle callback runs at every
+// one that finds the queue empty and reports whether it had work.
+class EagerLink {
+ public:
+  EagerLink(sim::Simulation& sim, BitRate rate, Nanos propagation)
+      : sim_(&sim), rate_(rate), propagation_(propagation) {}
+
+  void set_receiver(std::function<void(Packet&&)> receiver) {
+    receiver_ = std::move(receiver);
+  }
+  void set_idle_callback(std::function<bool()> cb) { idle_ = std::move(cb); }
+  bool TransmitterIdle() const { return !busy_; }
+
+  void Send(Packet packet) {
+    queue_.push_back(std::move(packet));
+    if (!busy_ && HasEligible()) StartNext();
+  }
+  void PauseData(Nanos duration) {
+    if (duration <= 0) {
+      ResumeData();
+      return;
+    }
+    paused_ = true;
+    pause_timer_.Arm(duration);
+  }
+  void ResumeData() {
+    if (!paused_) return;
+    paused_ = false;
+    pause_timer_.Cancel();
+    if (!busy_ && HasEligible()) StartNext();
+  }
+
+  // Transmit-completes with an empty queue and an idle callback that had
+  // nothing to send: the events a reserved slot saves.
+  std::uint64_t idle_completes() const { return idle_completes_; }
+
+ private:
+  bool Eligible(const Packet& p) const {
+    return !paused_ || p.priority == Priority::kControl;
+  }
+  bool HasEligible() const {
+    return std::any_of(queue_.begin(), queue_.end(),
+                       [&](const Packet& p) { return Eligible(p); });
+  }
+  void StartNext() {
+    const auto next = std::find_if(queue_.begin(), queue_.end(),
+                                   [&](const Packet& p) { return Eligible(p); });
+    busy_ = true;
+    Packet packet = std::move(*next);
+    queue_.erase(next);
+    const Nanos tx = rate_.TransmitTime(packet.WireBytes());
+    sim_->ScheduleAfter(tx + propagation_,
+                        [this, p = std::move(packet)]() mutable {
+                          receiver_(std::move(p));
+                        });
+    sim_->ScheduleAfter(tx, [this] {
+      busy_ = false;
+      if (HasEligible()) {
+        StartNext();
+      } else if (queue_.empty() && !idle_()) {
+        ++idle_completes_;
+      }
+    });
+  }
+
+  sim::Simulation* sim_;
+  BitRate rate_;
+  Nanos propagation_;
+  std::function<void(Packet&&)> receiver_;
+  std::function<bool()> idle_;
+  std::deque<Packet> queue_;
+  bool busy_ = false;
+  bool paused_ = false;
+  sim::Deadline pause_timer_{*sim_, [this] { ResumeData(); }};
+  std::uint64_t idle_completes_ = 0;
+};
+
+// A Switch egress port in front of an EagerLink: strict-priority queues,
+// one packet handed to the link whenever it is idle.
+class EagerPort {
+ public:
+  explicit EagerPort(EagerLink& link) : link_(&link) {
+    link.set_idle_callback([this] { return Drain(); });
+  }
+  void Enqueue(Packet packet) {
+    queues_[static_cast<std::size_t>(packet.priority)].push_back(
+        std::move(packet));
+    if (link_->TransmitterIdle()) Drain();
+  }
+
+ private:
+  bool Drain() {
+    for (auto q = queues_.rbegin(); q != queues_.rend(); ++q) {
+      if (q->empty()) continue;
+      Packet packet = std::move(q->front());
+      q->pop_front();
+      link_->Send(std::move(packet));
+      return true;
+    }
+    return false;
+  }
+
+  EagerLink* link_;
+  std::array<std::deque<Packet>, static_cast<std::size_t>(Priority::kLevels)>
+      queues_;
+};
+
+enum class HopStep { kLinkSend, kPortEnqueue, kPause, kResume, kForeign };
+
+struct HopAction {
+  Nanos at = 0;
+  HopStep kind = HopStep::kForeign;
+  Priority priority = Priority::kRdma;
+  std::size_t payload = 0;
+  Nanos duration = 0;  // kPause (0 resumes); kForeign: follow-up delay, or -1
+};
+
+struct HopScript {
+  std::vector<HopAction> steps;
+  Nanos midpoint = 0;  // RunUntil() here, send one packet, then Run()
+};
+
+// At 8 Gbps a byte takes 1 ns; payloads are picked so frames take whole
+// hundreds of ns and the step grid (50 ns) ties with transmit-completes.
+constexpr BitRate kHopRate = BitRate::Gbps(8);
+constexpr Nanos kHopPropagation = 100;
+
+HopScript MakeHopScript(std::uint64_t seed) {
+  Rng rng(seed);
+  HopScript script;
+  for (int i = 0; i < 300; ++i) {
+    HopAction step;
+    step.at = static_cast<Nanos>(rng.Below(160)) * 50;
+    const std::uint64_t roll = rng.Below(100);
+    step.priority = static_cast<Priority>(rng.Below(4));
+    step.payload = static_cast<std::size_t>(rng.Below(3) + 1) * 100 -
+                   kL2L3L4Bytes - kWireExtraBytes;
+    if (roll < 30) {
+      step.kind = HopStep::kLinkSend;
+    } else if (roll < 65) {
+      step.kind = HopStep::kPortEnqueue;
+    } else if (roll < 75) {
+      step.kind = HopStep::kPause;
+      step.duration = static_cast<Nanos>(rng.Below(12)) * 50;
+    } else if (roll < 80) {
+      step.kind = HopStep::kResume;
+    } else {
+      step.kind = HopStep::kForeign;
+      step.duration =
+          rng.Bernoulli(0.5) ? static_cast<Nanos>(rng.Below(8)) * 50 : -1;
+    }
+    script.steps.push_back(step);
+  }
+  script.midpoint = static_cast<Nanos>(rng.Below(160)) * 50;
+  return script;
+}
+
+struct HopTrace {
+  // (time, seq, handler): a step's index, -1 - packet id for a delivery,
+  // or kFollowUp - step for a foreign event's follow-up.
+  std::vector<std::tuple<Nanos, std::uint64_t, int>> log;
+  std::vector<std::pair<int, Nanos>> deliveries;  // (packet id, time)
+  std::uint64_t events = 0;
+  std::uint64_t saved = 0;  // EagerLink only: idle transmit-completes
+  Nanos end = 0;
+};
+
+constexpr int kFollowUp = -1'000'000;
+
+// Runs `script` against a link type: Link behind a real Switch port, or
+// EagerLink behind EagerPort. `send`, `enqueue`, `pause` and `resume`
+// reach the transmitter; `deliver` is wired as its receiver.
+template <typename Send, typename Enqueue, typename Pause>
+void PlayHopScript(sim::Simulation& sim, const HopScript& script,
+                   HopTrace& trace, Send send, Enqueue enqueue, Pause pause) {
+  int next_id = 0;
+  const auto packet = [&](const HopAction& step) {
+    return TestPacket(static_cast<NodeId>(next_id++), 0, step.payload,
+                      step.priority);
+  };
+  for (std::size_t i = 0; i < script.steps.size(); ++i) {
+    const HopAction step = script.steps[i];
+    const int tag = static_cast<int>(i);
+    sim.ScheduleAt(step.at, [&, step, tag] {
+      trace.log.emplace_back(sim.Now(), sim.CurrentSeq(), tag);
+      switch (step.kind) {
+        case HopStep::kLinkSend:
+          send(packet(step));
+          break;
+        case HopStep::kPortEnqueue:
+          enqueue(packet(step));
+          break;
+        case HopStep::kPause:
+          pause(step.duration);
+          break;
+        case HopStep::kResume:
+          pause(0);
+          break;
+        case HopStep::kForeign:
+          if (step.duration >= 0) {
+            sim.ScheduleAfter(step.duration, [&, tag] {
+              trace.log.emplace_back(sim.Now(), sim.CurrentSeq(),
+                                     kFollowUp - tag);
+            });
+          }
+          break;
+      }
+    });
+  }
+  sim.RunUntil(script.midpoint);
+  send(packet(HopAction{.payload = 34}));
+  sim.Run();
+  trace.events = sim.EventsProcessed();
+  trace.end = sim.Now();
+}
+
+HopTrace RunReservedSlotHop(const HopScript& script) {
+  sim::Simulation sim;
+  HopTrace trace;
+  Switch sw(sim, Switch::Config{});
+  const int port = sw.AddPort(kHopRate, kHopPropagation);
+  Link& link = sw.EgressLink(port);
+  link.set_receiver([&](Packet&& p) {
+    trace.log.emplace_back(sim.Now(), sim.CurrentSeq(),
+                           -1 - static_cast<int>(p.src));
+    trace.deliveries.emplace_back(static_cast<int>(p.src), sim.Now());
+  });
+  PlayHopScript(
+      sim, script, trace, [&](Packet p) { link.Send(std::move(p)); },
+      [&](Packet p) { sw.EnqueueEgress(port, std::move(p)); },
+      [&](Nanos d) { link.PauseData(d); });
+  return trace;
+}
+
+HopTrace RunEagerHop(const HopScript& script) {
+  sim::Simulation sim;
+  HopTrace trace;
+  EagerLink link(sim, kHopRate, kHopPropagation);
+  EagerPort port(link);
+  link.set_receiver([&](Packet&& p) {
+    trace.log.emplace_back(sim.Now(), sim.CurrentSeq(),
+                           -1 - static_cast<int>(p.src));
+    trace.deliveries.emplace_back(static_cast<int>(p.src), sim.Now());
+  });
+  PlayHopScript(
+      sim, script, trace, [&](Packet p) { link.Send(std::move(p)); },
+      [&](Packet p) { port.Enqueue(std::move(p)); },
+      [&](Nanos d) { link.PauseData(d); });
+  trace.saved = link.idle_completes();
+  return trace;
+}
+
+TEST(Link, ReservedSlotMatchesEagerTransmitCompleteOnRandomScripts) {
+  const std::uint64_t base = testing::TestSeed(20261019);
+  COWBIRD_SCOPED_SEED(base);
+  std::uint64_t saved = 0;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    SCOPED_TRACE(::testing::Message() << "script " << i);
+    const HopScript script = MakeHopScript(base + i);
+    const HopTrace want = RunEagerHop(script);
+    const HopTrace got = RunReservedSlotHop(script);
+    EXPECT_EQ(got.log, want.log);
+    EXPECT_EQ(got.deliveries, want.deliveries);
+    const auto sends = std::count_if(
+        script.steps.begin(), script.steps.end(), [](const HopAction& a) {
+          return a.kind == HopStep::kLinkSend ||
+                 a.kind == HopStep::kPortEnqueue;
+        });
+    EXPECT_EQ(got.deliveries.size(), static_cast<std::size_t>(sends) + 1);
+    EXPECT_EQ(got.events, want.events - want.saved);
+    EXPECT_EQ(got.end, want.end);
+    saved += want.saved;
+  }
+  EXPECT_GT(saved, 0u);  // the scripts did leave slots unwoken
 }
 
 class StarFixture : public ::testing::Test {
@@ -415,6 +740,49 @@ TEST(SwitchPfc, PauseResumeRoundTripIsLossless) {
   EXPECT_FALSE(a.uplink().data_paused());  // resumed by the end
 }
 
+TEST(SwitchPfc, QueuedPacketLeavesRightBehindAPauseFrameOnItsLink) {
+  // Port 0's link is sending X when Y, attributed to ingress port 0,
+  // crosses the pause threshold: the pause frame goes straight onto port
+  // 0's link, behind X, while D waits in port 0's egress queue. The link
+  // then serves its own queue (the frame) before it drains, and D must
+  // still leave the moment the frame is done — the switch's wait on the
+  // link outlives the slot that served the frame.
+  sim::Simulation sim;
+  const Packet y_shape = TestPacket(1, 2, 200);
+  Switch sw(sim,
+            Switch::Config{.pipeline_latency = 100,
+                           .pfc_enabled = true,
+                           .pfc_pause_threshold = y_shape.bytes.size(),
+                           .pfc_resume_threshold = 0});
+  const BitRate fast = BitRate::Gbps(8);
+  const int p0 = sw.AddPort(fast, 100);
+  const int p1 = sw.AddPort(BitRate::Gbps(1), 100);
+  std::vector<std::pair<std::string, Nanos>> p0_seen;
+  sw.EgressLink(p0).set_receiver([&](Packet&& p) {
+    p0_seen.emplace_back(IsPfcFrame(p) ? (PfcPauseDuration(p) > 0 ? "pause"
+                                                                  : "resume")
+                                       : std::to_string(p.src),
+                         sim.Now());
+  });
+  Packet x = TestPacket(1, 2, 300);
+  Packet d = TestPacket(2, 2, 100);
+  const Nanos tx_x = fast.TransmitTime(x.WireBytes());
+  const Nanos tx_pfc = fast.TransmitTime(MakePfcFrame(0, 0, 1).WireBytes());
+  const Nanos tx_d = fast.TransmitTime(d.WireBytes());
+  sw.EnqueueEgress(p1, TestPacket(3, 2, 300));  // keeps port 1 busy
+  sw.EnqueueEgress(p0, std::move(x));
+  sw.EnqueueEgress(p1, TestPacket(4, 2, 200), /*ingress_port=*/p0);  // Y
+  sw.EnqueueEgress(p0, std::move(d));
+  sim.Run();
+  EXPECT_EQ(sw.pfc_pauses_sent(), 1u);
+  ASSERT_GE(p0_seen.size(), 3u);
+  EXPECT_EQ(p0_seen[0], (std::pair<std::string, Nanos>{"1", tx_x + 100}));
+  EXPECT_EQ(p0_seen[1],
+            (std::pair<std::string, Nanos>{"pause", tx_x + tx_pfc + 100}));
+  EXPECT_EQ(p0_seen[2], (std::pair<std::string, Nanos>{
+                            "2", tx_x + tx_pfc + tx_d + 100}));
+}
+
 TEST(Link, PauseHoldsDataWhileControlKeepsFlowing) {
   sim::Simulation sim;
   Link link(sim, BitRate::Gbps(100), /*propagation=*/10);
@@ -445,7 +813,7 @@ TEST(SwitchProcessor, CustomProcessorCanRewriteAndMultiply) {
   // A processor that duplicates every packet.
   class Duplicator : public PacketProcessor {
    public:
-    void Process(Switch& s, int, Packet p,
+    void Process(Switch& s, int, Packet&& p,
                  std::vector<ForwardAction>& out) override {
       const int port = s.RouteFor(p.dst);
       out.push_back({port, p});

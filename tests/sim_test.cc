@@ -335,6 +335,59 @@ TEST(Deadline, CallbackMayRearmItself) {
   EXPECT_EQ(sim.EventsProcessed(), 3u);
 }
 
+// A reserved slot takes the (time, seq) key ScheduleAfter would take but
+// queues nothing: unwoken, dispatch passes it at no cost; woken before it
+// passes, the callback runs at exactly that key.
+TEST(Deadline, ReservedSlotRunsOnlyWhenWokenAndKeepsItsKey) {
+  Simulation sim;
+  std::vector<std::pair<Nanos, int>> log;
+  Deadline slot(sim, [&] { log.emplace_back(sim.Now(), 0); });
+  EXPECT_TRUE(slot.Passed());  // nothing reserved yet
+
+  sim.ScheduleAt(100, [&] {
+    EXPECT_FALSE(slot.Passed());
+    log.emplace_back(sim.Now(), 1);
+  });
+  slot.Reserve(100);
+  sim.ScheduleAt(100, [&] {
+    EXPECT_TRUE(slot.Passed());
+    log.emplace_back(sim.Now(), 2);
+  });
+  EXPECT_FALSE(slot.Passed());
+  EXPECT_FALSE(slot.Pending());
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::pair<Nanos, int>>{{100, 1}, {100, 2}}));
+  EXPECT_EQ(sim.EventsProcessed(), 2u);
+  EXPECT_EQ(sim.EventPoolStats().in_use, 0u);
+  EXPECT_TRUE(slot.Passed());
+
+  log.clear();
+  sim.ScheduleAt(200, [&] { log.emplace_back(sim.Now(), 1); });
+  slot.Reserve(100);
+  sim.ScheduleAt(200, [&] { log.emplace_back(sim.Now(), 2); });
+  sim.ScheduleAt(150, [&] {
+    slot.Wake();
+    EXPECT_TRUE(slot.Pending());
+  });
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::pair<Nanos, int>>{
+                     {200, 1}, {200, 0}, {200, 2}}));
+  EXPECT_EQ(sim.EventsProcessed(), 2u + 4u);
+}
+
+TEST(Deadline, RunUntilPassesEverySlotAtTheDeadline) {
+  Simulation sim;
+  int fired = 0;
+  Deadline slot(sim, [&] { ++fired; });
+  slot.Reserve(50);
+  sim.RunUntil(49);
+  EXPECT_FALSE(slot.Passed());
+  sim.RunUntil(50);
+  EXPECT_TRUE(slot.Passed());
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.EventsProcessed(), 0u);
+}
+
 TEST(Coroutine, DelayAdvancesClock) {
   Simulation sim;
   Nanos woke_at = -1;
