@@ -146,6 +146,44 @@ void BM_EventQueueScheduleDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleDispatch);
 
+// The hash loop's queue shape: 64 event chains in flight, each event
+// scheduling its successor 16-512 ns ahead (a NIC, link or switch hop),
+// and one event in 256 also leaving a timeout 64-128 us ahead that fires
+// as a no-op (GBN/batch/PFC timers). BM_EventQueueScheduleDispatch drains
+// a pre-loaded queue instead, which the datapath never does.
+void BM_EventQueueSteadyState(benchmark::State& state) {
+  constexpr int kInFlight = 64;
+  constexpr std::size_t kTable = 4096;  // power of two
+  Rng rng(20261019);
+  std::vector<Nanos> hops(kTable);
+  std::vector<Nanos> timeouts(kTable, -1);
+  for (std::size_t i = 0; i < kTable; ++i) {
+    hops[i] = 16 + static_cast<Nanos>(rng.Below(497));
+    if (rng.Below(256) == 0) {
+      timeouts[i] = 64000 + static_cast<Nanos>(rng.Below(64000));
+    }
+  }
+  struct Chains {
+    sim::Simulation sim;
+    const std::vector<Nanos>& hops;
+    const std::vector<Nanos>& timeouts;
+    std::size_t next = 0;
+    void Fire() {
+      const std::size_t i = next++ & (kTable - 1);
+      sim.ScheduleAfter(hops[i], [this] { Fire(); });
+      if (timeouts[i] >= 0) sim.ScheduleAfter(timeouts[i], [] {});
+    }
+  } chains{{}, hops, timeouts};
+  for (int c = 0; c < kInFlight; ++c) chains.Fire();
+  // Reach the steady far-event population before timing.
+  chains.sim.RunFor(200'000);
+  const std::uint64_t before = chains.sim.EventsProcessed();
+  for (auto _ : state) chains.sim.RunFor(1000);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(chains.sim.EventsProcessed() - before));
+}
+BENCHMARK(BM_EventQueueSteadyState);
+
 // The retransmission-timer pattern: every dispatched event (an ACK) pushes
 // one sim::Deadline a full timeout ahead. The event pool stays three deep
 // (the running ACK, the next one and one wake) instead of holding one dead

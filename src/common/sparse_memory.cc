@@ -19,24 +19,30 @@ constexpr std::uint64_t AlignUp(std::uint64_t v, std::uint64_t align) {
 }
 
 std::string RangeMessage(const char* op, std::uint64_t addr,
-                         std::uint64_t len) {
-  char buf[128];
+                         std::uint64_t len, std::uint64_t limit) {
+  char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "SparseMemory::%s of %llu bytes at 0x%llx runs past 2^64",
+                "SparseMemory::%s of %llu bytes at 0x%llx runs past 0x%llx",
                 op, static_cast<unsigned long long>(len),
-                static_cast<unsigned long long>(addr));
+                static_cast<unsigned long long>(addr),
+                static_cast<unsigned long long>(limit));
   return buf;
 }
 
-// [addr, addr + len) must end inside the address space: one compare.
-void CheckRange(const char* op, std::uint64_t addr, std::uint64_t len) {
-  if (len > ~addr) [[unlikely]] throw AddressRangeError(op, addr, len);
+// [addr, addr + len) must end at or before `limit`: no wrap past 2^64.
+void CheckRange(const char* op, std::uint64_t addr, std::uint64_t len,
+                std::uint64_t limit = ~std::uint64_t{0}) {
+  if (addr > limit || len > limit - addr) [[unlikely]] {
+    throw AddressRangeError(op, addr, len, limit);
+  }
 }
 }  // namespace
 
 AddressRangeError::AddressRangeError(const char* op, std::uint64_t addr,
-                                     std::uint64_t len)
-    : std::out_of_range(RangeMessage(op, addr, len)), addr_(addr), len_(len) {}
+                                     std::uint64_t len, std::uint64_t limit)
+    : std::out_of_range(RangeMessage(op, addr, len, limit)),
+      addr_(addr),
+      len_(len) {}
 
 std::vector<SparseMemory::Extent>::const_iterator SparseMemory::After(
     std::uint64_t addr) const {
@@ -88,6 +94,7 @@ void SparseMemory::Unmap() {
 
 void SparseMemory::PreFault(std::uint64_t addr, Bytes len) {
   if (len <= 0) return;
+  CheckRange("PreFault", addr, len, kMapLimit);
   std::uint64_t pos = AlignDown(addr, kPageSize);
   const std::uint64_t hi =
       AlignUp(addr + static_cast<std::uint64_t>(len), kPageSize);
@@ -112,7 +119,7 @@ std::size_t SparseMemory::ResidentPages() const {
 
 void SparseMemory::Write(std::uint64_t addr,
                          std::span<const std::uint8_t> data) {
-  CheckRange("Write", addr, data.size());
+  CheckRange("Write", addr, data.size(), kMapLimit);
   std::size_t done = 0;
   while (done < data.size()) {
     const std::uint64_t pos = addr + done;

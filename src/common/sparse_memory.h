@@ -24,12 +24,15 @@
 
 namespace cowbird {
 
-// A Read or Write whose range [addr, addr + len) does not end inside the
-// 64-bit address space. No simulated address space wraps, so the access is
-// refused rather than continued at address 0.
+// An access whose range [addr, addr + len) does not end inside the 64-bit
+// address space, or a Write or PreFault that reaches the top kMapChunk,
+// which cannot be mapped (an extent's end there would wrap to 0). No
+// simulated address space wraps, so the access is refused rather than
+// continued at address 0.
 class AddressRangeError : public std::out_of_range {
  public:
-  AddressRangeError(const char* op, std::uint64_t addr, std::uint64_t len);
+  AddressRangeError(const char* op, std::uint64_t addr, std::uint64_t len,
+                    std::uint64_t limit);
   std::uint64_t addr() const { return addr_; }
   std::uint64_t len() const { return len_; }
 
@@ -67,13 +70,18 @@ class SparseMemory {
     return *this;
   }
 
-  // Both throw AddressRangeError for a range that runs past 2^64 - 1.
+  // Exclusive end of the mappable space: the top kMapChunk stays unmapped.
+  static constexpr std::uint64_t kMapLimit = ~std::uint64_t{0} - kMapChunk + 1;
+
+  // Both throw AddressRangeError for a range that runs past 2^64 - 1; Write
+  // also for one that runs past kMapLimit.
   void Write(std::uint64_t addr, std::span<const std::uint8_t> data);
   void Read(std::uint64_t addr, std::span<std::uint8_t> out) const;
 
   // Maps the page-aligned hull of [addr, addr+len) up front, so no write
   // inside it maps anything later. Only the uncovered gaps are mapped:
-  // bytes already written stay, and no page is touched.
+  // bytes already written stay, and no page is touched. Throws
+  // AddressRangeError for a range that runs past kMapLimit.
   void PreFault(std::uint64_t addr, Bytes len);
 
   // Typed helpers for the fixed-width fields the protocol moves around.

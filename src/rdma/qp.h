@@ -52,6 +52,9 @@ class QueuePair {
   bool Connected() const { return connected_; }
 
   std::size_t OutstandingWqes() const { return reliability_.Outstanding(); }
+  // Send WQEs completed in post order, unsignaled ones included: the WQE
+  // posted n-th (1-based) is done once RetiredWqes() >= n.
+  std::uint64_t RetiredWqes() const { return reliability_.retired(); }
   std::size_t PostedRecvs() const { return recv_queue_.size(); }
   std::uint32_t next_psn() const { return reliability_.next_psn(); }
   std::uint32_t expected_psn() const { return epsn_; }

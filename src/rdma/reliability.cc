@@ -168,6 +168,7 @@ void ReliabilityManager::CompleteInOrder() {
                               entry.status, entry.wqe.length});
     }
     inflight_.pop_front();
+    ++retired_;
     freed = true;
   }
   if (freed) TryTransmit();

@@ -56,6 +56,9 @@ class ReliabilityManager {
   std::size_t Outstanding() const {
     return inflight_.size() + pending_.size();
   }
+  // WQEs completed so far, signaled or not. Completion is in post order, so
+  // the first retired() WQEs posted are done.
+  std::uint64_t retired() const { return retired_; }
   std::uint32_t next_psn() const { return next_psn_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
 
@@ -86,6 +89,7 @@ class ReliabilityManager {
   std::uint32_t next_psn_ = 0;
   sim::Deadline retransmit_timer_;  // fires GoBackN()
   std::uint64_t retransmissions_ = 0;
+  std::uint64_t retired_ = 0;
 };
 
 }  // namespace cowbird::rdma

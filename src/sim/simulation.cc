@@ -1,5 +1,7 @@
 #include "sim/simulation.h"
 
+#include <limits>
+
 namespace cowbird::sim {
 
 Simulation::~Simulation() {
@@ -15,11 +17,10 @@ Simulation::~Simulation() {
   }
 }
 
-bool Simulation::PopAndDispatchOne() {
-  if (queue_.empty()) return false;
-  const QueueEntry entry = queue_.top();
-  queue_.pop();
-  COWBIRD_CHECK(entry.when >= now_);
+bool Simulation::PopAndDispatchOne(Nanos limit) {
+  QueueEntry entry;
+  if (!queue_.PopAtOrBefore(limit, &entry)) return false;
+  COWBIRD_DCHECK(entry.when >= now_);
   now_ = entry.when;
   passed_seq_ = entry.seq + 1;
   EventRecord* record = events_.TryGet(entry.event);
@@ -41,22 +42,23 @@ bool Simulation::PopAndDispatchOne() {
 
 void Simulation::Run() {
   halted_ = false;
-  while (!halted_ && PopAndDispatchOne()) {
+  while (!halted_ && PopAndDispatchOne(std::numeric_limits<Nanos>::max())) {
   }
   if (halted_) return;
   now_ = std::max(now_, deadline_horizon_);
   passed_seq_ = next_seq_;
+  queue_.Advance(now_);
 }
 
 void Simulation::RunUntil(Nanos deadline) {
   halted_ = false;
-  while (!halted_ && !queue_.empty() && queue_.top().when <= deadline) {
-    PopAndDispatchOne();
+  while (!halted_ && PopAndDispatchOne(deadline)) {
   }
   if (halted_) return;
   now_ = std::max(now_, deadline);
   // Every slot at or before the deadline counts as dispatched.
   passed_seq_ = next_seq_;
+  queue_.Advance(now_);
 }
 
 Simulation::RootTask Simulation::RunRoot(Task<void> task) {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <unordered_map>
@@ -173,8 +174,8 @@ class Simulation {
   const PoolStats& EventPoolStats() const { return events_.stats(); }
 
  private:
-  // The callable lives in a pooled record; the heap itself holds only
-  // small POD entries, so sift-up/down moves 24 bytes instead of relocating
+  // The callable lives in a pooled record; the queue itself holds only
+  // small POD entries, so a heap sift moves 24 bytes instead of relocating
   // a 64-byte inline closure per swap. A Deadline's wake carries no
   // callable, only the Deadline to consult.
   struct EventRecord {
@@ -193,10 +194,10 @@ class Simulation {
     }
   };
 
-  // 4-ary min-heap on (when, seq). The key is unique per entry, so pop
-  // order — and therefore the simulation — is identical to any other
-  // conforming heap; the wider fan-out just halves the sift depth of the
-  // hottest loop in the simulator. Entries are 24-byte PODs by design.
+  // 4-ary min-heap on (when, seq): the store for events at or beyond the
+  // wheel's window (GBN and PFC timeouts, probe backoff). The key is unique
+  // per entry, so pop order is identical to any other conforming heap; the
+  // wider fan-out halves the sift depth. Entries are 24-byte PODs by design.
   class EventHeap {
    public:
     explicit EventHeap(std::size_t capacity) { v_.reserve(capacity); }
@@ -237,6 +238,166 @@ class Simulation {
     std::vector<QueueEntry> v_;
   };
 
+  // The pending events, popped in (when, seq) order — a hashed timing wheel
+  // (Varghese & Lauck) in front of the far-event heap. The wheel has one
+  // FIFO bucket per nanosecond of [base, base + kWheelSpan), base being the
+  // time of the last pop, and a two-level occupancy bitmap, so the next
+  // bucket is two count-trailing-zeros away. Nearly every event the
+  // datapath schedules lands a few hundred ns ahead, so most pushes append
+  // to a bucket and most pops unlink a bucket head.
+  //
+  // Why the order is exactly (when, seq):
+  //   * a bucket holds a single time, and its list is kept in seq order.
+  //     Pushes take fresh seqs, so they append; the exception is a
+  //     Deadline wake, which keeps the older seq of its reserved slot and
+  //     is inserted in place (InsertSorted);
+  //   * the heap holds only entries at or beyond base + kWheelSpan. Each
+  //     moves into its bucket, heap order, in the Advance that brings it
+  //     inside the window — before anything else can be pushed at its time,
+  //     so its bucket is empty then.
+  class EventQueue {
+   public:
+    static constexpr Nanos kWheelSpan = 4096;
+
+    explicit EventQueue(std::size_t capacity)
+        : tails_(kWheelSpan, kNil), far_(capacity / 4) {
+      nodes_.reserve(capacity);
+    }
+    bool empty() const { return wheel_size_ == 0 && far_.empty(); }
+
+    // `e.when` must be at or after the window start.
+    void push(QueueEntry e) {
+      if (e.when - base_ >= kWheelSpan) {
+        far_.push(e);
+        return;
+      }
+      Insert(e);
+    }
+
+    // Pops the least entry into `*out` if it is due at or before `limit`.
+    bool PopAtOrBefore(Nanos limit, QueueEntry* out) {
+      if (wheel_size_ == 0) {
+        if (far_.empty() || far_.top().when > limit) return false;
+        Advance(far_.top().when);
+      }
+      const auto start = static_cast<std::uint32_t>(base_ & kMask);
+      const std::uint32_t slot = NextOccupied(start);
+      const Nanos when = base_ + ((slot - start) & kMask);
+      if (when > limit) return false;
+      if (when != base_) Advance(when);
+      std::uint32_t& tail = tails_[slot];
+      const std::uint32_t n = nodes_[tail].next;  // the bucket's head
+      const Node& node = nodes_[n];
+      *out = QueueEntry{when, node.seq, node.event};
+      if (n == tail) {
+        tail = kNil;
+        ClearOccupied(slot);
+      } else {
+        nodes_[tail].next = node.next;
+      }
+      nodes_[n].next = free_;
+      free_ = n;
+      --wheel_size_;
+      return true;
+    }
+
+    // Moves the window start to `t`, which no queued entry precedes, and
+    // brings every far entry now inside the window into its bucket.
+    void Advance(Nanos t) {
+      COWBIRD_DCHECK(t >= base_);
+      base_ = t;
+      while (!far_.empty() && far_.top().when - base_ < kWheelSpan) {
+        Insert(far_.top());
+        far_.pop();
+      }
+    }
+
+   private:
+    static constexpr Nanos kMask = kWheelSpan - 1;
+    static constexpr std::uint32_t kNil = 0xFFFF'FFFFu;
+    static constexpr std::size_t kWords = kWheelSpan / 64;
+    static_assert(kWords == 64, "one summary word covers the bitmap");
+
+    // The bucket's time is implied by its slot and the window start.
+    struct Node {
+      std::uint64_t seq;
+      PoolHandle event;
+      std::uint32_t next;
+    };
+
+    void Insert(const QueueEntry& e) {
+      std::uint32_t n = free_;
+      if (n != kNil) {
+        free_ = nodes_[n].next;
+        nodes_[n] = Node{e.seq, e.event, kNil};
+      } else {
+        n = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back(Node{e.seq, e.event, kNil});
+      }
+      const auto slot = static_cast<std::uint32_t>(e.when & kMask);
+      std::uint32_t& tail = tails_[slot];
+      if (tail == kNil) {
+        nodes_[n].next = n;
+        tail = n;
+        words_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+        summary_ |= std::uint64_t{1} << (slot / 64);
+      } else if (nodes_[tail].seq < e.seq) {
+        nodes_[n].next = nodes_[tail].next;
+        nodes_[tail].next = n;
+        tail = n;
+      } else {
+        InsertSorted(tail, n);
+      }
+      ++wheel_size_;
+    }
+
+    // A Deadline wake whose older seq precedes the bucket's tail: walk from
+    // the head to the first later entry. The tail stays.
+    void InsertSorted(std::uint32_t tail, std::uint32_t n) {
+      const std::uint64_t seq = nodes_[n].seq;
+      std::uint32_t prev = tail;
+      while (nodes_[nodes_[prev].next].seq < seq) prev = nodes_[prev].next;
+      nodes_[n].next = nodes_[prev].next;
+      nodes_[prev].next = n;
+    }
+
+    void ClearOccupied(std::uint32_t slot) {
+      std::uint64_t& word = words_[slot / 64];
+      word &= ~(std::uint64_t{1} << (slot % 64));
+      if (word == 0) summary_ &= ~(std::uint64_t{1} << (slot / 64));
+    }
+
+    // First occupied slot at or after `start`, circularly. The wheel must
+    // hold an entry.
+    std::uint32_t NextOccupied(std::uint32_t start) const {
+      const std::uint32_t w = start / 64;
+      const std::uint32_t b = start % 64;
+      if (const std::uint64_t here = words_[w] & (~std::uint64_t{0} << b)) {
+        return w * 64 + static_cast<std::uint32_t>(std::countr_zero(here));
+      }
+      // Words after w, then (wrapping) words before w, then w's low bits.
+      const std::uint64_t above = (std::uint64_t{2} << w) - 1;
+      std::uint64_t words = summary_ & ~above;
+      if (words == 0) words = summary_ & ((std::uint64_t{1} << w) - 1);
+      const std::uint32_t word =
+          words == 0 ? w : static_cast<std::uint32_t>(std::countr_zero(words));
+      return word * 64 +
+             static_cast<std::uint32_t>(std::countr_zero(words_[word]));
+    }
+
+    Nanos base_ = 0;
+    std::size_t wheel_size_ = 0;
+    std::uint64_t summary_ = 0;  // bit w: words_[w] != 0
+    std::uint64_t words_[kWords] = {};
+    // Each bucket is a circular list named by its tail (the tail's `next`
+    // is the head), so one word per nanosecond of span.
+    std::vector<std::uint32_t> tails_;
+    // Bucket-list nodes, recycled through a free list threaded on `next`.
+    std::vector<Node> nodes_;
+    std::uint32_t free_ = kNil;
+    EventHeap far_;
+  };
+
   // Driver coroutine wrapping a spawned task; destroys itself on completion.
   struct RootTask {
     struct promise_type {
@@ -265,7 +426,8 @@ class Simulation {
 
   static RootTask RunRoot(Task<void> task);
 
-  bool PopAndDispatchOne();
+  // Dispatches the next event if it is due at or before `limit`.
+  bool PopAndDispatchOne(Nanos limit);
 
   friend class Deadline;
 
@@ -280,12 +442,13 @@ class Simulation {
   // would leave a dead entry at every abandoned slot, and draining the
   // queue would advance the clock past all of them; Run() does the same.
   Nanos deadline_horizon_ = 0;
-  // The heap and the record pool start at the same depth, so growing the
-  // heap (an allocation on the dispatch path) waits for the pool to grow.
+  // The queue's node storage starts at the record pool's depth, so growing
+  // it (an allocation on the dispatch path) waits for the pool to grow; the
+  // far heap, which holds only timeouts, starts at a quarter of that.
   static constexpr std::size_t kInitialEvents = 1024;
-  EventHeap queue_{kInitialEvents};
+  EventQueue queue_{kInitialEvents};
   // Event payloads, recycled at dispatch. A record whose handle went stale
-  // (a Deadline dropped its wake) leaves a dead heap entry that pops as a
+  // (a Deadline dropped its wake) leaves a dead queue entry that pops as a
   // no-op.
   Pool<EventRecord> events_{kInitialEvents, /*growable=*/true};
   // address → handle of still-live root coroutines, for teardown.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "common/check.h"
 
@@ -58,9 +59,13 @@ SpotAgent::SpotAgent(rdma::Device& device, sim::Machine& machine,
       scheduler_(offload::ProbeScheduler::Config{
           config.probe_interval, config.adaptive_probe,
           config.probe_interval_max, offload::ProbeSelection::kRoundRobin}) {
-  // The agent's staging arena is a pinned buffer on real hardware; fault it
-  // in now so the wrapping bump allocator never materializes pages mid-run.
+  // The agent's staging arena is a pinned buffer on real hardware; map it
+  // whole now. Slots are recycled, so the pages the run touches stay those
+  // of the peak in-flight window.
   device_->memory().PreFault(config_.staging_base, config_.staging_capacity);
+  COWBIRD_CHECK(config_.staging_capacity / 64 < kNoSlot);
+  staging_units_.reserve(config_.staging_capacity / 64);
+  staging_free_.fill(kNoSlot);
   if (auto* hub = config_.telemetry) {
     const telemetry::Labels labels = EngineLabels();
     scheduler_.BindTelemetry(hub->metrics, labels);
@@ -165,7 +170,6 @@ void SpotAgent::AddInstance(
   inst->meta_staging = AllocStaging(
       static_cast<Bytes>(descriptor.layout.threads) * kMetaFetchLimit *
       core::kMetadataEntryBytes);
-  staging_floor_ = staging_cursor_;  // pin the fixed blocks below the wrap
   bool resumed_with_pending = false;
   if (resume != nullptr) {
     // Registry migration: continue from the counters the previous engine
@@ -342,18 +346,49 @@ void SpotAgent::Start() {
 }
 
 std::uint64_t SpotAgent::AllocStaging(Bytes len) {
-  // Bump allocator over the staging arena; wraps when exhausted. The arena
-  // is sized far above the in-flight window, so reuse cannot collide with
-  // live transfers. Wrapping returns to the floor, not zero: the permanent
-  // probe/meta staging blocks carved out during AddInstance live below it
-  // and must never be recycled as per-op scratch.
-  if (staging_cursor_ + len > config_.staging_capacity) {
-    staging_cursor_ = staging_floor_;
-    COWBIRD_CHECK(staging_cursor_ + len <= config_.staging_capacity);
+  const std::uint64_t units = std::max<std::uint64_t>(1, (len + 63) / 64);
+  const int cls = std::bit_width(units - 1);
+  COWBIRD_CHECK(cls < kStagingClasses);
+  std::uint32_t unit = staging_free_[cls];
+  if (unit != kNoSlot) {
+    staging_free_[cls] = staging_units_[unit].next_free;
+  } else {
+    // Only the live set can exhaust the arena: freed slots are reused.
+    unit = static_cast<std::uint32_t>(staging_cursor_ / 64);
+    staging_cursor_ += std::uint64_t{64} << cls;
+    COWBIRD_CHECK(staging_cursor_ <= config_.staging_capacity);
+    staging_units_.resize(staging_cursor_ / 64);  // within the reservation
   }
-  const std::uint64_t addr = config_.staging_base + staging_cursor_;
-  staging_cursor_ += static_cast<std::uint32_t>((len + 63) & ~Bytes{63});
-  return addr;
+  StagingUnit& slot = staging_units_[unit];
+  COWBIRD_CHECK(slot.live == 0);  // never hand out a slot still in use
+  slot.live = static_cast<std::uint8_t>(cls + 1);
+  return config_.staging_base + std::uint64_t{unit} * 64;
+}
+
+void SpotAgent::FreeStaging(std::uint64_t addr) {
+  const std::uint64_t unit = (addr - config_.staging_base) / 64;
+  COWBIRD_CHECK(unit < staging_units_.size());
+  StagingUnit& slot = staging_units_[unit];
+  COWBIRD_CHECK(slot.live != 0);
+  const int cls = slot.live - 1;
+  slot.live = 0;
+  slot.next_free = staging_free_[cls];
+  staging_free_[cls] = static_cast<std::uint32_t>(unit);
+}
+
+void SpotAgent::RetireRedSlotAfterPost(Instance& inst, std::uint64_t addr) {
+  const rdma::QueuePair& qp = *inst.to_compute;
+  inst.red_slots.push_back(
+      Instance::RedSlot{addr, qp.RetiredWqes() + qp.OutstandingWqes()});
+}
+
+void SpotAgent::ReleaseRetiredRedSlots(Instance& inst) {
+  const std::uint64_t retired = inst.to_compute->RetiredWqes();
+  while (!inst.red_slots.empty() &&
+         inst.red_slots.front().retired_at <= retired) {
+    FreeStaging(inst.red_slots.front().addr);
+    inst.red_slots.pop_front();
+  }
 }
 
 sim::Task<void> SpotAgent::MainLoop() {
@@ -410,8 +445,12 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
   const auto token = static_cast<std::uint32_t>(cqe.wr_id);
   COWBIRD_CHECK(instance_index < instances_.size());
   Instance& inst = *instances_[instance_index];
-  // Stale completion for a removed instance: drop it.
+  // Stale completion for a removed instance: drop it. Its staging slots
+  // stay allocated: its QPs may still read them.
   if (!inst.active) co_return;
+  // Unsignaled red-block writes complete silently, ahead of the next
+  // signaled completion on their QP.
+  ReleaseRetiredRedSlots(inst);
 
   switch (kind) {
     case CompletionKind::kProbe: {
@@ -444,6 +483,7 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
         if (op.meta.rw_type == core::RwType::kRead && op.seq == token) {
           COWBIRD_CHECK(op.state == OpState::kFetching);
           op.state = OpState::kStaged;
+          --ts.inflight;
           break;
         }
       }
@@ -481,6 +521,8 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
         if (op.meta.rw_type == core::RwType::kWrite && op.seq == token) {
           COWBIRD_CHECK(op.state == OpState::kWriting);
           op.state = OpState::kDone;
+          --ts.inflight;
+          FreeStaging(op.staging_addr);
           ts.hazards.RetireWrite(op.hazard_ticket);
           ++ops_completed_;
           RecordOpPhase(inst, thread_index, /*is_write=*/true, op.seq,
@@ -506,7 +548,9 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
         if (op.seq < batch->seq_begin || op.seq > batch->seq_end) continue;
         COWBIRD_CHECK(op.state == OpState::kDelivering);
         op.state = OpState::kDone;
+        --ts.inflight;
       }
+      FreeStaging(batch->staging);
       // The ACK makes this batch's reads durable: the payload write is
       // complete at the compute node, so a crash export may now claim them.
       ts.read_durable_seq = std::max(ts.read_durable_seq, batch->seq_end);
@@ -535,18 +579,19 @@ sim::Task<void> SpotAgent::HandleCompletion(rdma::Cqe cqe) {
 
 void SpotAgent::AdvanceWriteProgressInOrder(ThreadState& ts) {
   // Advance write progress in strict sequence order, then retire finished
-  // front entries.
-  bool advanced = true;
-  while (advanced) {
-    advanced = false;
-    for (const Op& op : ts.ops) {
-      if (op.meta.rw_type == core::RwType::kWrite &&
-          op.seq == ts.progress.write_progress + 1 &&
-          op.state == OpState::kDone) {
-        ++ts.progress.write_progress;
-        advanced = true;
-      }
+  // front entries. Writes sit in ts.ops in ascending seq order, so one pass
+  // that stops at the first write not yet done finds the frontier.
+  [[maybe_unused]] std::uint64_t last_write = 0;
+  for (const Op& op : ts.ops) {
+    if (op.meta.rw_type != core::RwType::kWrite) continue;
+    COWBIRD_DCHECK(op.seq > last_write);
+    last_write = op.seq;
+    if (op.seq <= ts.progress.write_progress) continue;
+    if (op.seq != ts.progress.write_progress + 1 ||
+        op.state != OpState::kDone) {
+      break;
     }
+    ++ts.progress.write_progress;
   }
   while (!ts.ops.empty() && ts.ops.front().state == OpState::kDone) {
     ts.ops.pop_front();
@@ -621,13 +666,7 @@ sim::Task<void> SpotAgent::ParseFetchedMetadata(Instance& inst, int thread) {
 sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
   ThreadState& ts = inst.threads[thread];
   const std::uint32_t instance_index = inst.index;
-  int inflight = 0;
-  for (const Op& op : ts.ops) {
-    if (op.state == OpState::kFetching || op.state == OpState::kWriting ||
-        op.state == OpState::kDelivering) {
-      ++inflight;
-    }
-  }
+  COWBIRD_DCHECK(ts.inflight == CountInflight(ts));
   // Collect everything issuable, then post one doorbell-batched linked list
   // per destination QP. The per-QP WQE lists live in pump_scratch_ so their
   // capacity persists across calls (entries are recycled by qp slot).
@@ -649,7 +688,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
     return batches.back().wqes;
   };
   for (auto& op : ts.ops) {
-    if (inflight >= config_.max_inflight_per_thread) break;
+    if (ts.inflight >= config_.max_inflight_per_thread) break;
     if (op.state != OpState::kQueued) continue;
     if (op.meta.rw_type == core::RwType::kRead) {
       if (!config_.chaos_unsafe_skip_hazards &&
@@ -664,7 +703,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
       }
       op.staging_addr = AllocStaging(op.meta.length);
       op.state = OpState::kFetching;
-      ++inflight;
+      ++ts.inflight;
       RecordOpPhase(inst, thread, /*is_write=*/false, op.seq,
                     telemetry::OpPhase::kExecute);
       const core::Translation src = MustTranslate(
@@ -687,7 +726,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
       op.staging_addr = AllocStaging(op.meta.length);
       device_->memory().Write(op.staging_addr, *op.carried_payload);
       op.state = OpState::kWriting;
-      ++inflight;
+      ++ts.inflight;
       RecordOpPhase(inst, thread, /*is_write=*/true, op.seq,
                     telemetry::OpPhase::kExecute);
       const core::Translation dst = MustTranslate(
@@ -705,7 +744,7 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
     } else {
       op.staging_addr = AllocStaging(op.meta.length);
       op.state = OpState::kFetching;
-      ++inflight;
+      ++ts.inflight;
       RecordOpPhase(inst, thread, /*is_write=*/true, op.seq,
                     telemetry::OpPhase::kExecute);
       batch_for(inst.to_compute)
@@ -723,6 +762,17 @@ sim::Task<void> SpotAgent::PumpThread(Instance& inst, int thread) {
     co_await rdma::EnginePostBatchVerb(thread_, config_.costs, *b.qp,
                                        b.wqes);
   }
+}
+
+int SpotAgent::CountInflight(const ThreadState& ts) {
+  int inflight = 0;
+  for (const Op& op : ts.ops) {
+    if (op.state == OpState::kFetching || op.state == OpState::kWriting ||
+        op.state == OpState::kDelivering) {
+      ++inflight;
+    }
+  }
+  return inflight;
 }
 
 void SpotAgent::ArmBatchTimer(Instance& inst, int thread) {
@@ -775,8 +825,10 @@ sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,
     tmp.resize(op.meta.length);
     mem.Read(op.staging_addr, tmp);
     mem.Write(batch_staging + offset, tmp);
+    FreeStaging(op.staging_addr);
     offset += op.meta.length;
     op.state = OpState::kDelivering;
+    ++ts.inflight;
     ++ops_completed_;  // delivered (progress published with this batch)
     RecordOpPhase(inst, thread, /*is_write=*/false, op.seq,
                   telemetry::OpPhase::kDone);
@@ -794,8 +846,8 @@ sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,
   // crash-export counters (read_durable_seq / resp_tail_durable).
   const std::uint64_t seq_begin = ts.ops[run.front()].seq;
   const std::uint64_t seq_end = ts.ops[run.back()].seq;
-  inflight_batches_[wr_id] =
-      BatchToken{seq_begin, seq_end, ts.progress.resp_tail + total};
+  inflight_batches_[wr_id] = BatchToken{
+      seq_begin, seq_end, ts.progress.resp_tail + total, batch_staging};
   ts.deliver_cursor = seq_end;
   ++batches_flushed_;
 
@@ -820,6 +872,7 @@ sim::Task<void> SpotAgent::FlushBatch(Instance& inst, int thread,
   };
   co_await rdma::EnginePostBatchVerb(thread_, config_.costs, *inst.to_compute,
                                    chained);
+  RetireRedSlotAfterPost(inst, red_staging);
   // More staged reads may already form the next batch.
   co_await FlushBatch(inst, thread, force);
 }
@@ -851,6 +904,7 @@ sim::Task<void> SpotAgent::WriteRedBlock(Instance& inst, int thread) {
       static_cast<std::uint32_t>(core::kRedBlockBytes), /*signaled=*/false};
   co_await rdma::EnginePostBatchVerb(thread_, config_.costs, *inst.to_compute,
                                    std::span<const rdma::SendWqe>(&wqe, 1));
+  RetireRedSlotAfterPost(inst, staging);
 }
 
 }  // namespace cowbird::spot

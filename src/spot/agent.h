@@ -28,6 +28,7 @@
 // the compute node — that asymmetry is the entire point of Cowbird.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -180,6 +181,9 @@ class SpotAgent {
     // Section 6 exact overlapping-range check, via the shared hazard core.
     offload::HazardTracker hazards{
         offload::HazardTracker::Policy::kExactRange};
+    // Ops in kFetching, kWriting or kDelivering: what the per-thread cap
+    // (max_inflight_per_thread) limits.
+    int inflight = 0;
     std::uint64_t pending_fetch = 0;   // entries in the in-flight meta read
     std::uint64_t deliver_cursor = 0;  // last read seq handed to a batch
     // Durable (batch-ACKed) counterparts of the optimistically published
@@ -208,6 +212,13 @@ class SpotAgent {
     std::uint64_t probe_staging = 0;     // staging addr for green blocks
     std::uint64_t meta_staging = 0;      // staging addr for metadata fetches
     bool probe_inflight = false;
+    // Red-block staging slots posted (unsignaled) on to_compute, oldest
+    // first, each with the RetiredWqes() count that marks its WQE done.
+    struct RedSlot {
+      std::uint64_t addr;
+      std::uint64_t retired_at;
+    };
+    FixedDeque<RedSlot> red_slots;
     // Cleared by RemoveInstance: the slot stays (wr_ids encode the index)
     // but the instance is no longer probed and its completions are dropped.
     bool active = true;
@@ -244,11 +255,23 @@ class SpotAgent {
   // Strict in-order write_progress advance + front pops of finished ops
   // (shared by the pool-write completion path and crash-resume seeding).
   static void AdvanceWriteProgressInOrder(ThreadState& ts);
+  static int CountInflight(const ThreadState& ts);
   void ComposeRedBlock(Instance& inst, int thread, std::uint64_t staging);
   sim::Task<void> WriteRedBlock(Instance& inst, int thread);
   void ArmBatchTimer(Instance& inst, int thread);
 
+  // Staging arena: slots of 64 B << class, carved from a bump cursor and
+  // recycled through per-class free lists. A slot is freed at the
+  // completion that ends its last use — the NIC re-reads a WQE's source
+  // memory on every Go-Back-N retransmission, so that is the ACK of the
+  // last WQE reading it, never earlier.
   std::uint64_t AllocStaging(Bytes len);
+  void FreeStaging(std::uint64_t addr);
+  // Queues the slot of the red-block write just posted on to_compute (the
+  // last WQE posted there) for release once the QP retires that WQE.
+  void RetireRedSlotAfterPost(Instance& inst, std::uint64_t addr);
+  // Frees the red-block slots whose WQEs to_compute has completed.
+  void ReleaseRetiredRedSlots(Instance& inst);
 
   const Instance* FindInstance(std::uint32_t instance_id) const;
 
@@ -279,10 +302,19 @@ class SpotAgent {
   Config config_;
   std::vector<std::unique_ptr<Instance>> instances_;
   sim::Channel<rdma::Cqe> completions_;
-  std::uint32_t staging_cursor_ = 0;
-  // First per-op byte of the staging arena; the wrap target. Everything
-  // below holds the instances' permanent probe/meta staging blocks.
-  std::uint32_t staging_floor_ = 0;
+  static constexpr int kStagingClasses = 32;
+  static constexpr std::uint32_t kNoSlot = 0xFFFF'FFFFu;
+  // One entry per 64-byte unit of the carved arena. For a slot's first
+  // unit: its class + 1 while live, 0 and the next free slot of its class
+  // while free. Reserved for the whole arena up front (untouched until
+  // carved), so no allocation follows construction.
+  struct StagingUnit {
+    std::uint32_t next_free = kNoSlot;
+    std::uint8_t live = 0;
+  };
+  std::vector<StagingUnit> staging_units_;
+  std::array<std::uint32_t, kStagingClasses> staging_free_;  // first free unit
+  std::uint64_t staging_cursor_ = 0;  // arena offset of the next fresh slot
   offload::ProbeScheduler scheduler_;  // Section 5.2 adaptive ramp (shared)
   bool last_probe_found_work_ = false;
   std::uint64_t probes_sent_ = 0;
@@ -301,6 +333,7 @@ class SpotAgent {
     std::uint64_t seq_end = 0;
     // Durable frontier this batch's ACK establishes.
     std::uint64_t resp_tail_end = 0;
+    std::uint64_t staging = 0;  // the gathered payload, freed at the ACK
   };
   DenseMap<BatchToken> inflight_batches_;
   std::uint32_t next_token_ = 1;

@@ -256,6 +256,26 @@ TEST(SparseMemory, RangePastTheTopOfTheAddressSpaceIsRefused) {
   mem.Read(addr, tail);
   EXPECT_EQ(tail, std::vector<std::uint8_t>(101, 0));
   EXPECT_THROW(mem.ReadValue<std::uint64_t>(kTop - 4), AddressRangeError);
+
+  // The top MiB cannot be mapped: its chunk's end would wrap to 0. A write
+  // there, and a PreFault whose page hull reaches it, are refused with
+  // nothing mapped.
+  const std::uint64_t limit = SparseMemory::kMapLimit;  // 2^64 - 2^20
+  std::vector<std::uint8_t> bytes(16, 0xAB);
+  EXPECT_THROW(mem.Write(kTop - 4095, bytes), AddressRangeError);
+  EXPECT_THROW(mem.Write(limit - 8, bytes), AddressRangeError);
+  EXPECT_THROW(mem.PreFault(kTop - 4095, 4096), AddressRangeError);  // 2^64
+  EXPECT_THROW(mem.PreFault(kTop - 4095, 4095), AddressRangeError);
+  EXPECT_THROW(mem.PreFault(limit - 4096, 4097), AddressRangeError);
+  EXPECT_EQ(mem.Extents(), 0u);
+
+  // Just below the limit both work.
+  mem.PreFault(limit - 8192, 4096);
+  mem.Write(limit - 16, bytes);
+  std::vector<std::uint8_t> back(16, 0);
+  mem.Read(limit - 16, back);
+  EXPECT_EQ(back, bytes);
+  EXPECT_EQ(mem.Extents(), 2u);
 }
 
 TEST(SparseMemory, TypedValues) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -386,6 +388,254 @@ TEST(Deadline, RunUntilPassesEverySlotAtTheDeadline) {
   EXPECT_TRUE(slot.Passed());
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(sim.EventsProcessed(), 0u);
+}
+
+// ----------------------------------------------------------- EventQueue
+//
+// Property: the timing wheel and its far-event heap dispatch in exactly
+// the order of a plain set ordered by (when, seq). Handlers schedule plain
+// events and drive Deadlines at random; a mirror of the sequence counter
+// gives every queued callback its key in the reference set, and each
+// dispatch must be the reference's least key. Delays straddle the wheel's
+// 4096 ns window and snap to a coarse grid, so far events share times
+// with near ones scheduled after they move into the wheel.
+
+struct QueueKey {
+  Nanos when;
+  std::uint64_t seq;
+  int id;  // >= 0: plain event; < 0: timer -1 - id
+  auto operator<=>(const QueueKey&) const = default;
+};
+
+class QueueScript {
+ public:
+  static constexpr int kTimers = 4;
+  static constexpr int kBudget = 3000;  // schedules before handlers go quiet
+
+  explicit QueueScript(std::uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < kTimers; ++i) MakeTimer(i);
+  }
+
+  // Phases of RunUntil with outside schedules between them; then either a
+  // drain or destruction with events still queued.
+  void Play() {
+    for (int phase = 0; phase < 64; ++phase) {
+      Nanos until = sim_.Now() + static_cast<Nanos>(rng_.Below(6000));
+      if (rng_.Bernoulli(0.3) && !ref_.empty()) {
+        // Stop just short of the window around the earliest pending event,
+        // so only far events stay queued.
+        until = std::max(sim_.Now(),
+                         ref_.begin()->when - 4096 -
+                             static_cast<Nanos>(rng_.Below(200)));
+      }
+      RunUntil(until);
+      for (int i = 0; i < 4; ++i) Act();
+    }
+    if (rng_.Bernoulli(0.5)) {
+      quiet_ = true;
+      do {
+        halted_ = false;
+        sim_.Run();
+      } while (halted_);
+      EXPECT_TRUE(ref_.empty());
+      Nanos end = last_when_;
+      for (const Timer& t : timers_) end = std::max(end, t.horizon);
+      EXPECT_EQ(sim_.Now(), end);
+      ++drained;
+    } else {
+      EXPECT_FALSE(ref_.empty());
+      ++abandoned;
+    }
+    EXPECT_EQ(sim_.EventsProcessed(), dispatched_);
+  }
+
+  int far_then_near = 0;  // near schedule at a time a far event holds
+  int late_wakes = 0;     // wake behind a later same-time entry
+  int only_far = 0;       // RunUntil left nothing within the window
+  int boundary = 0;       // delay exactly 4095 or 4096
+  int halts = 0;
+  int drained = 0;
+  int abandoned = 0;
+
+ private:
+  struct Timer {
+    std::unique_ptr<Deadline> deadline;
+    Nanos when = -1;
+    std::uint64_t seq = 0;
+    bool armed = false;
+    Nanos horizon = 0;  // latest slot ever reserved
+  };
+
+  void MakeTimer(int i) {
+    timers_[i].deadline = std::make_unique<Deadline>(sim_, [this, i] {
+      Timer& t = timers_[i];
+      EXPECT_TRUE(t.armed);
+      EXPECT_EQ(sim_.CurrentSeq(), t.seq);
+      t.armed = false;
+      OnDispatch(-1 - i);
+    });
+  }
+
+  void RunUntil(Nanos until) {
+    halted_ = false;
+    sim_.RunUntil(until);
+    if (halted_) return;
+    EXPECT_EQ(sim_.Now(), std::max(until, last_when_));
+    EXPECT_TRUE(ref_.empty() || ref_.begin()->when > until);
+    if (!ref_.empty() && ref_.begin()->when - sim_.Now() >= 4096) ++only_far;
+  }
+
+  void OnDispatch(int id) {
+    ++dispatched_;
+    last_when_ = sim_.Now();
+    ASSERT_FALSE(ref_.empty());
+    const QueueKey want = *ref_.begin();
+    ref_.erase(ref_.begin());
+    EXPECT_EQ((QueueKey{sim_.Now(), sim_.CurrentSeq(), id}), want);
+    if (rng_.Bernoulli(0.003)) {
+      sim_.Halt();
+      halted_ = true;
+      ++halts;
+    }
+    if (quiet_) return;
+    const std::uint64_t actions = rng_.Below(4);
+    for (std::uint64_t i = 0; i < actions; ++i) Act();
+  }
+
+  Nanos PickDelay() {
+    const Nanos now = sim_.Now();
+    switch (rng_.Below(8)) {
+      case 0:
+        return 0;
+      case 1:
+        return static_cast<Nanos>(rng_.Below(16));
+      case 2:
+        return 16 + static_cast<Nanos>(rng_.Below(497));
+      case 3:
+        ++boundary;
+        return rng_.Bernoulli(0.5) ? 4095 : 4096;
+      case 4:
+        return 4097 + static_cast<Nanos>(rng_.Below(70000));
+      default: {
+        // A grid point up to ~6 µs out: near and far schedules collide.
+        const Nanos grid = 512;
+        const Nanos at =
+            (now / grid + 1 + static_cast<Nanos>(rng_.Below(12))) * grid;
+        return at - now;
+      }
+    }
+  }
+
+  void Schedule(Nanos delay) {
+    const Nanos when = sim_.Now() + delay;
+    const int id = next_id_++;
+    if (delay < 4096) {
+      auto far = far_times_.find(when);
+      if (far != far_times_.end() && far->second > 0) ++far_then_near;
+    } else {
+      ++far_times_[when];
+    }
+    ref_.insert(QueueKey{when, seq_++, id});
+    sim_.ScheduleAt(when, [this, id, when, delay] {
+      if (delay >= 4096) --far_times_[when];
+      OnDispatch(id);
+    });
+  }
+
+  void Act() {
+    if (budget_ <= 0) return;
+    --budget_;
+    const int i = static_cast<int>(rng_.Below(kTimers));
+    Timer& t = timers_[i];
+    switch (rng_.Below(10)) {
+      case 0:
+      case 1:
+      case 2:
+        Schedule(PickDelay());
+        break;
+      case 3:  // Arm
+      case 4:
+        Reserve(t, PickDelay());
+        Wake(t);
+        break;
+      case 5:  // reserve only; maybe woken later
+        Reserve(t, PickDelay());
+        break;
+      case 6:
+      case 7:
+        if (!t.armed && !t.deadline->Passed()) Wake(t);
+        break;
+      case 8:
+        if (t.armed) ref_.erase(QueueKey{t.when, t.seq, -1 - i});
+        t.armed = false;
+        t.deadline->Cancel();
+        break;
+      default:
+        if (t.armed) ref_.erase(QueueKey{t.when, t.seq, -1 - i});
+        t.armed = false;
+        MakeTimer(i);  // destroys the old Deadline with its wake queued
+        break;
+    }
+  }
+
+  void Reserve(Timer& t, Nanos delay) {
+    const int i = static_cast<int>(&t - timers_);
+    if (t.armed) ref_.erase(QueueKey{t.when, t.seq, -1 - i});
+    t.armed = false;
+    t.when = sim_.Now() + delay;
+    t.seq = seq_++;
+    t.horizon = std::max(t.horizon, t.when);
+    t.deadline->Reserve(delay);
+  }
+
+  void Wake(Timer& t) {
+    const int i = static_cast<int>(&t - timers_);
+    const auto later = ref_.lower_bound(QueueKey{t.when, t.seq, 0});
+    if (later != ref_.end() && later->when == t.when) ++late_wakes;
+    t.armed = true;
+    ref_.insert(QueueKey{t.when, t.seq, -1 - i});
+    t.deadline->Wake();
+  }
+
+  Rng rng_;
+  Simulation sim_;
+  Timer timers_[kTimers];  // after sim_: destroyed first
+  std::set<QueueKey> ref_;
+  std::map<Nanos, int> far_times_;  // far schedules not yet dispatched
+  std::uint64_t seq_ = 0;           // mirrors the simulation's counter
+  std::uint64_t dispatched_ = 0;
+  Nanos last_when_ = 0;
+  int next_id_ = 0;
+  int budget_ = kBudget;
+  bool quiet_ = false;
+  bool halted_ = false;
+};
+
+TEST(EventQueue, MatchesReferenceOrderOnRandomScripts) {
+  const std::uint64_t base = testing::TestSeed(20261019);
+  COWBIRD_SCOPED_SEED(base);
+  int far_then_near = 0, late_wakes = 0, only_far = 0, boundary = 0;
+  int halts = 0, drained = 0, abandoned = 0;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    SCOPED_TRACE(::testing::Message() << "script " << i);
+    QueueScript script(base + i);
+    script.Play();
+    far_then_near += script.far_then_near;
+    late_wakes += script.late_wakes;
+    only_far += script.only_far;
+    boundary += script.boundary;
+    halts += script.halts;
+    drained += script.drained;
+    abandoned += script.abandoned;
+  }
+  // The scripts reached every case the wheel treats specially.
+  EXPECT_GT(far_then_near, 0);
+  EXPECT_GT(late_wakes, 0);
+  EXPECT_GT(only_far, 0);
+  EXPECT_GT(boundary, 0);
+  EXPECT_GT(halts, 0);
+  EXPECT_GT(drained, 0);
+  EXPECT_GT(abandoned, 0);
 }
 
 TEST(Coroutine, DelayAdvancesClock) {
