@@ -1,6 +1,7 @@
 // Datapath parity pin: the canonical 8-seed chaos sweep (both engines) must
 // produce byte-identical checked histories and fault counters across
-// allocator-path changes.
+// allocator-path changes. Seeds 1-4 of the live-migration scenario and of
+// each congestion scenario are pinned too, with their fabric counters.
 //
 // The pooled/allocation-free datapath work is only legal because it does not
 // perturb simulated behavior: pool slot addresses, recycled packet buffers,
@@ -35,6 +36,7 @@ namespace cowbird::chaos {
 namespace {
 
 constexpr std::uint64_t kSweepSeeds = 8;
+constexpr std::uint64_t kScenarioSeeds = 4;
 
 std::string GoldenPath() {
   return std::string(COWBIRD_SOURCE_DIR) + "/tests/goldens/chaos_parity.golden";
@@ -44,8 +46,7 @@ std::string GoldenPath() {
 // digest covers the complete operation history byte-for-byte (ids, invoke /
 // complete times in virtual nanoseconds, payload digests) via the same
 // serialization the replay tooling trusts.
-std::string RunLine(EngineKind engine, std::uint64_t seed) {
-  const ChaosOptions opt = SweepOptions(engine, seed);
+std::string RunLine(const ChaosOptions& opt) {
   const ChaosResult result = RunChaos(opt);
   const std::string trace = SerializeTrace(MakeTrace(opt, result));
   const std::uint64_t digest = HistoryRecorder::Digest(std::span(
@@ -56,7 +57,7 @@ std::string RunLine(EngineKind engine, std::uint64_t seed) {
       "engine=%s seed=%llu trace_fnv=%016llx violations=%zu reads=%llu "
       "writes=%llu faults=%llu drop=%llu dup=%llu reorder=%llu delay=%llu "
       "crashes=%llu counters_exact=%d",
-      EngineKindName(engine), static_cast<unsigned long long>(seed),
+      EngineKindName(opt.engine), static_cast<unsigned long long>(opt.seed),
       static_cast<unsigned long long>(digest), result.violations.size(),
       static_cast<unsigned long long>(result.reads_checked),
       static_cast<unsigned long long>(result.writes_completed),
@@ -67,14 +68,49 @@ std::string RunLine(EngineKind engine, std::uint64_t seed) {
       static_cast<unsigned long long>(result.decided_delayed),
       static_cast<unsigned long long>(result.crashes_executed),
       result.counters_exact ? 1 : 0);
-  return buf;
+  std::string line = buf;
+  if (opt.plan.migrate || opt.plan.congestion != CongestionScenario::kNone) {
+    std::snprintf(
+        buf, sizeof(buf),
+        " scenario=%s ecn_marked=%llu pfc_pauses=%llu link_pauses=%llu "
+        "cnps=%llu migrations=%llu",
+        opt.plan.migrate ? "migration"
+                         : CongestionScenarioName(opt.plan.congestion),
+        static_cast<unsigned long long>(result.ecn_marked),
+        static_cast<unsigned long long>(result.pfc_pauses),
+        static_cast<unsigned long long>(result.link_pauses),
+        static_cast<unsigned long long>(result.cnps),
+        static_cast<unsigned long long>(result.migrations_executed));
+    line += buf;
+  }
+  return line;
 }
 
 std::vector<std::string> SweepLines() {
+  constexpr EngineKind kEngines[] = {EngineKind::kSpot, EngineKind::kP4};
   std::vector<std::string> lines;
-  for (const EngineKind engine : {EngineKind::kSpot, EngineKind::kP4}) {
+  for (const EngineKind engine : kEngines) {
     for (std::uint64_t seed = 1; seed <= kSweepSeeds; ++seed) {
-      lines.push_back(RunLine(engine, seed));
+      lines.push_back(RunLine(SweepOptions(engine, seed)));
+    }
+  }
+  // The scenario layers chaos_sweep --migration / --congestion <c> add.
+  for (const EngineKind engine : kEngines) {
+    for (std::uint64_t seed = 1; seed <= kScenarioSeeds; ++seed) {
+      ChaosOptions opt = SweepOptions(engine, seed);
+      opt.plan.migrate = true;
+      lines.push_back(RunLine(opt));
+    }
+  }
+  for (const CongestionScenario scenario :
+       {CongestionScenario::kIncast, CongestionScenario::kVictim,
+        CongestionScenario::kPauseStorm}) {
+    for (const EngineKind engine : kEngines) {
+      for (std::uint64_t seed = 1; seed <= kScenarioSeeds; ++seed) {
+        ChaosOptions opt = SweepOptions(engine, seed);
+        opt.plan.congestion = scenario;
+        lines.push_back(RunLine(opt));
+      }
     }
   }
   return lines;
