@@ -19,7 +19,7 @@
 #include "sim/parallel.h"
 #include "spot/agent.h"
 #include "spot/setup.h"
-#include "workload/testbed.h"
+#include "workload/fabric.h"
 
 using namespace cowbird;
 
@@ -36,28 +36,29 @@ struct Result {
 };
 
 Result RunBursty(bool adaptive, Nanos base_interval) {
-  workload::Testbed bed;
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(16));
+  workload::Fabric bed{workload::Section7Topology()};
+  const auto* pool_mr = bed.memory().dev.RegisterMemory(kPoolBase, MiB(16));
   core::CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  core::CowbirdClient client(bed.compute_dev, cc);
-  client.RegisterRegion(core::RegionInfo{kRegion, workload::Testbed::kMemoryId,
+  core::CowbirdClient client(bed.compute().dev, cc);
+  client.RegisterRegion(core::RegionInfo{kRegion, workload::kMemoryId,
                                          kPoolBase, pool_mr->rkey, MiB(16)});
   spot::SpotAgent::Config ac;
   ac.probe_interval = base_interval;
   ac.adaptive_probe = adaptive;
-  spot::SpotAgent agent(bed.spot_dev, bed.spot_machine, ac);
-  rdma::Device* memories[] = {&bed.memory_dev};
-  auto conn = spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev, memories);
+  spot::SpotAgent agent(bed.spot().dev, bed.spot().machine, ac);
+  rdma::Device* memories[] = {&bed.memory().dev};
+  auto conn =
+      spot::ConnectSpotEngine(bed.spot().dev, bed.compute().dev, memories);
   agent.AddInstance(client.descriptor(), conn.to_compute, conn.compute_cq,
                     conn.to_memory, conn.memory_cqs);
   agent.Start();
 
-  sim::SimThread thread(bed.compute_machine, "app");
+  sim::SimThread thread(bed.compute().machine, "app");
   double first_sum = 0, steady_sum = 0;
   int bursts = 0, steady_count = 0;
-  bed.sim.Spawn([](workload::Testbed& b, core::CowbirdClient& cl,
+  bed.sim.Spawn([](workload::Fabric& b, core::CowbirdClient& cl,
                    sim::SimThread& thr, double& sum, int& count,
                    double& ssum, int& scount) -> sim::Task<void> {
     auto& ctx = cl.thread(0);

@@ -18,7 +18,7 @@
 #include "core/client.h"
 #include "p4/engine.h"
 #include "sim/parallel.h"
-#include "workload/testbed.h"
+#include "workload/fabric.h"
 
 using namespace cowbird;
 
@@ -30,13 +30,13 @@ constexpr std::uint16_t kRegion = 1;
 constexpr net::NodeId kSwitchId = 100;
 
 double RunHotTenant(p4::CowbirdP4Engine::ProbePolicy policy) {
-  workload::Testbed bed;
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+  workload::Fabric bed{workload::Section7Topology()};
+  const auto* pool_mr = bed.memory().dev.RegisterMemory(kPoolBase, MiB(64));
 
   p4::CowbirdP4Engine::Config ec;
   ec.switch_node_id = kSwitchId;
   ec.probe_policy = policy;
-  p4::CowbirdP4Engine engine(bed.sw, ec);
+  p4::CowbirdP4Engine engine(bed.sw(), ec);
 
   std::vector<std::unique_ptr<core::CowbirdClient>> tenants;
   for (int i = 0; i < 4; ++i) {
@@ -44,20 +44,20 @@ double RunHotTenant(p4::CowbirdP4Engine::ProbePolicy policy) {
     cc.layout.base = 0x10000 + static_cast<std::uint64_t>(i) * MiB(8);
     cc.layout.threads = 1;
     tenants.push_back(
-        std::make_unique<core::CowbirdClient>(bed.compute_dev, cc));
+        std::make_unique<core::CowbirdClient>(bed.compute().dev, cc));
     tenants.back()->RegisterRegion(
-        core::RegionInfo{kRegion, workload::Testbed::kMemoryId, kPoolBase,
+        core::RegionInfo{kRegion, workload::kMemoryId, kPoolBase,
                          pool_mr->rkey, MiB(64)});
-    auto conn = p4::ConnectP4Engine(engine, kSwitchId, bed.compute_dev,
-                                    bed.memory_dev, 0x800 + i * 8);
+    auto conn = p4::ConnectP4Engine(engine, kSwitchId, bed.compute().dev,
+                                    bed.memory().dev, 0x800 + i * 8);
     engine.AddInstance(tenants.back()->descriptor(), conn);
   }
   engine.Start();
 
   // Only tenant 0 is active; tenants 1-3 are registered but idle.
-  sim::SimThread thread(bed.compute_machine, "hot");
+  sim::SimThread thread(bed.compute().machine, "hot");
   std::uint64_t ops = 0;
-  bed.sim.Spawn([](workload::Testbed& bb, core::CowbirdClient& cl,
+  bed.sim.Spawn([](workload::Fabric& bb, core::CowbirdClient& cl,
                    sim::SimThread& thr, std::uint64_t& done)
                     -> sim::Task<void> {
     (void)bb;

@@ -24,7 +24,7 @@
 #include "p4/engine.h"
 #include "spot/agent.h"
 #include "spot/setup.h"
-#include "workload/testbed.h"
+#include "workload/fabric.h"
 
 using namespace cowbird;
 
@@ -146,33 +146,33 @@ sim::Task<void> RunWithFailover(core::CowbirdClient& client,
 }  // namespace
 
 int main() {
-  workload::Testbed bed;
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(16));
+  workload::Fabric bed{workload::Section7Topology()};
+  const auto* pool_mr = bed.memory().dev.RegisterMemory(kPoolBase, MiB(16));
   const auto* spot_pool_mr =
-      bed.memory_dev.RegisterMemory(kSpotPoolBase, MiB(16));
+      bed.memory().dev.RegisterMemory(kSpotPoolBase, MiB(16));
 
   // 1% RDMA loss on every host-facing link, both directions.
   auto rng = std::make_shared<Rng>(1234);
   auto lossy = [rng](const net::Packet& p) {
     return rdma::LooksLikeRdma(p) && rng->Bernoulli(0.01);
   };
-  bed.sw.EgressLink(bed.compute_nic.switch_port()).set_drop_filter(lossy);
-  bed.sw.EgressLink(bed.memory_nic.switch_port()).set_drop_filter(lossy);
-  bed.sw.EgressLink(bed.spot_nic.switch_port()).set_drop_filter(lossy);
+  bed.compute().egress().set_drop_filter(lossy);
+  bed.memory().egress().set_drop_filter(lossy);
+  bed.spot().egress().set_drop_filter(lossy);
 
   // ---- Part 1: packet loss through Cowbird-P4 -------------------------
   core::CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  core::CowbirdClient client(bed.compute_dev, cc);
-  client.RegisterRegion(core::RegionInfo{kRegion, workload::Testbed::kMemoryId,
+  core::CowbirdClient client(bed.compute().dev, cc);
+  client.RegisterRegion(core::RegionInfo{kRegion, workload::kMemoryId,
                                          kPoolBase, pool_mr->rkey, MiB(16)});
 
   p4::CowbirdP4Engine::Config ec;
   ec.switch_node_id = kSwitchId;
-  p4::CowbirdP4Engine engine(bed.sw, ec);
-  auto conn = p4::ConnectP4Engine(engine, kSwitchId, bed.compute_dev,
-                                  bed.memory_dev, 0x800);
+  p4::CowbirdP4Engine engine(bed.sw(), ec);
+  auto conn = p4::ConnectP4Engine(engine, kSwitchId, bed.compute().dev,
+                                  bed.memory().dev, 0x800);
   engine.AddInstance(client.descriptor(), conn);
   engine.Start();
 
@@ -180,9 +180,9 @@ int main() {
   core::CowbirdClient::Config sc;
   sc.layout.base = 0x400000;
   sc.layout.threads = 1;
-  core::CowbirdClient spot_client(bed.compute_dev, sc);
+  core::CowbirdClient spot_client(bed.compute().dev, sc);
   spot_client.RegisterRegion(
-      core::RegionInfo{kRegion, workload::Testbed::kMemoryId, kSpotPoolBase,
+      core::RegionInfo{kRegion, workload::kMemoryId, kSpotPoolBase,
                        spot_pool_mr->rkey, MiB(16)});
 
   sim::Machine spot_machine_b(bed.sim, 1);
@@ -190,8 +190,8 @@ int main() {
   sa.staging_base = 0x4000'0000;
   spot::SpotAgent::Config sb;
   sb.staging_base = 0x8000'0000;
-  spot::SpotAgent agent_a(bed.spot_dev, bed.spot_machine, sa);
-  spot::SpotAgent agent_b(bed.spot_dev, spot_machine_b, sb);
+  spot::SpotAgent agent_a(bed.spot().dev, bed.spot().machine, sa);
+  spot::SpotAgent agent_b(bed.spot().dev, spot_machine_b, sb);
 
   offload::InstanceRegistry registry;
   auto bind = [&](spot::SpotAgent& agent, const char* name) {
@@ -200,9 +200,9 @@ int main() {
     binding.attach = [&](std::uint32_t id,
                          const offload::InstanceProgress* resume) {
       if (id != spot_client.descriptor().instance_id) return false;
-      rdma::Device* memories[] = {&bed.memory_dev};
+      rdma::Device* memories[] = {&bed.memory().dev};
       auto spot_conn =
-          spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev, memories);
+          spot::ConnectSpotEngine(bed.spot().dev, bed.compute().dev, memories);
       agent.AddInstance(spot_client.descriptor(), spot_conn.to_compute,
                         spot_conn.compute_cq, spot_conn.to_memory,
                         spot_conn.memory_cqs, resume);
@@ -221,14 +221,14 @@ int main() {
   agent_a.Start();
   agent_b.Start();
 
-  sim::SimThread thread(bed.compute_machine, "app");
-  sim::SimThread spot_app(bed.compute_machine, "app-spot");
+  sim::SimThread thread(bed.compute().machine, "app");
+  sim::SimThread spot_app(bed.compute().machine, "app-spot");
   int verified = 0, corrupt = 0;
   int spot_verified = 0, spot_corrupt = 0;
   bool migrated_ok = false;
-  bed.sim.Spawn(Run(client, thread, bed.compute_mem, bed.sim, verified,
+  bed.sim.Spawn(Run(client, thread, bed.compute().mem, bed.sim, verified,
                     corrupt));
-  bed.sim.Spawn(RunWithFailover(spot_client, spot_app, bed.compute_mem,
+  bed.sim.Spawn(RunWithFailover(spot_client, spot_app, bed.compute().mem,
                                 bed.sim, registry, engine_a_id, agent_a,
                                 spot_verified, spot_corrupt, migrated_ok));
   bed.sim.Run();

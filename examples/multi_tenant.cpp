@@ -11,7 +11,7 @@
 #include "common/rng.h"
 #include "core/client.h"
 #include "p4/engine.h"
-#include "workload/testbed.h"
+#include "workload/fabric.h"
 
 using namespace cowbird;
 
@@ -54,12 +54,12 @@ sim::Task<void> Tenant(core::CowbirdClient& client, sim::SimThread& thread,
 }  // namespace
 
 int main() {
-  workload::Testbed bed;
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+  workload::Fabric bed{workload::Section7Topology()};
+  const auto* pool_mr = bed.memory().dev.RegisterMemory(kPoolBase, MiB(64));
 
   p4::CowbirdP4Engine::Config ec;
   ec.switch_node_id = kSwitchId;
-  p4::CowbirdP4Engine engine(bed.sw, ec);
+  p4::CowbirdP4Engine engine(bed.sw(), ec);
 
   std::vector<std::unique_ptr<core::CowbirdClient>> tenants;
   for (int i = 0; i < 2; ++i) {
@@ -67,18 +67,18 @@ int main() {
     cc.layout.base = 0x10000 + static_cast<std::uint64_t>(i) * MiB(8);
     cc.layout.threads = 1;
     tenants.push_back(
-        std::make_unique<core::CowbirdClient>(bed.compute_dev, cc));
+        std::make_unique<core::CowbirdClient>(bed.compute().dev, cc));
     tenants.back()->RegisterRegion(
-        core::RegionInfo{kRegion, workload::Testbed::kMemoryId, kPoolBase,
+        core::RegionInfo{kRegion, workload::kMemoryId, kPoolBase,
                          pool_mr->rkey, MiB(64)});
-    auto conn = p4::ConnectP4Engine(engine, kSwitchId, bed.compute_dev,
-                                    bed.memory_dev, 0x800 + i * 8);
+    auto conn = p4::ConnectP4Engine(engine, kSwitchId, bed.compute().dev,
+                                    bed.memory().dev, 0x800 + i * 8);
     engine.AddInstance(tenants.back()->descriptor(), conn);
   }
   engine.Start();
 
-  sim::SimThread thread_a(bed.compute_machine, "tenant-a");
-  sim::SimThread thread_b(bed.compute_machine, "tenant-b");
+  sim::SimThread thread_a(bed.compute().machine, "tenant-a");
+  sim::SimThread thread_b(bed.compute().machine, "tenant-b");
   TenantStats stats_a, stats_b;
   bed.sim.Spawn(Tenant(*tenants[0], thread_a, 1024, "A", stats_a));
   bed.sim.Spawn(Tenant(*tenants[1], thread_b, 64, "B", stats_b));

@@ -12,7 +12,7 @@
 #include "core/client.h"
 #include "spot/agent.h"
 #include "spot/setup.h"
-#include "workload/testbed.h"
+#include "workload/fabric.h"
 
 using namespace cowbird;
 
@@ -74,30 +74,31 @@ sim::Task<void> Application(core::CowbirdClient& client,
 }  // namespace
 
 int main() {
-  workload::Testbed bed;
+  workload::Fabric bed{workload::Section7Topology()};
 
   // Memory pool: register a region and hand out its rkey.
-  const auto* pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, MiB(16));
+  const auto* pool_mr = bed.memory().dev.RegisterMemory(kPoolBase, MiB(16));
 
   // Compute node: client library with one application thread.
   core::CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  core::CowbirdClient client(bed.compute_dev, cc);
-  client.RegisterRegion(core::RegionInfo{kRegion, workload::Testbed::kMemoryId,
+  core::CowbirdClient client(bed.compute().dev, cc);
+  client.RegisterRegion(core::RegionInfo{kRegion, workload::kMemoryId,
                                          kPoolBase, pool_mr->rkey, MiB(16)});
 
   // Offload engine on the spot node (one core).
-  spot::SpotAgent agent(bed.spot_dev, bed.spot_machine,
+  spot::SpotAgent agent(bed.spot().dev, bed.spot().machine,
                         spot::SpotAgent::Config{});
-  rdma::Device* memories[] = {&bed.memory_dev};
-  auto conn = spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev, memories);
+  rdma::Device* memories[] = {&bed.memory().dev};
+  auto conn =
+      spot::ConnectSpotEngine(bed.spot().dev, bed.compute().dev, memories);
   agent.AddInstance(client.descriptor(), conn.to_compute, conn.compute_cq,
                     conn.to_memory, conn.memory_cqs);
   agent.Start();
 
-  sim::SimThread app_thread(bed.compute_machine, "app");
-  bed.sim.Spawn(Application(client, app_thread, bed.compute_mem, bed.sim));
+  sim::SimThread app_thread(bed.compute().machine, "app");
+  bed.sim.Spawn(Application(client, app_thread, bed.compute().mem, bed.sim));
   bed.sim.Run();
 
   std::printf("\nengine stats: %llu probes, %llu ops completed\n",

@@ -12,21 +12,19 @@
 #include "chaos/fault_injector.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/sparse_memory.h"
 #include "core/client.h"
 #include "core/cluster_pool.h"
 #include "core/migration.h"
-#include "net/switch.h"
 #include "offload/progress.h"
 #include "offload/registry.h"
 #include "p4/engine.h"
-#include "rdma/congestion.h"
 #include "rdma/device.h"
 #include "rdma/params.h"
 #include "sim/simulation.h"
 #include "sim/thread.h"
 #include "spot/agent.h"
 #include "spot/setup.h"
+#include "workload/fabric.h"
 
 namespace cowbird::chaos {
 namespace {
@@ -34,10 +32,8 @@ namespace {
 using core::CowbirdClient;
 using core::ReqId;
 
-constexpr net::NodeId kComputeId = 1;
-constexpr net::NodeId kMemoryId = 2;
-constexpr net::NodeId kSpotId = 3;
-constexpr net::NodeId kMemory2Id = 4;  // migration runs only
+using workload::kMemory2Id;
+using workload::kMemoryId;
 constexpr net::NodeId kSwitchId = 100;
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
@@ -65,16 +61,15 @@ constexpr std::uint64_t kBgSpan = MiB(4);
 constexpr std::uint64_t kBgMemBase = 0xA000'0000;    // scratch on responder
 constexpr std::uint64_t kBgLocalBase = 0xC000'0000;  // requester staging
 
-// The whole deterministic world of one chaos run: the Section 7 testbed
-// topology, a client, the serving engine plus spot standbys behind an
-// InstanceRegistry, the fault injector, and the recorded history.
+// The whole deterministic world of one chaos run: the chaos testbed
+// (workload::ChaosTopology), a client, the serving engine plus spot
+// standbys behind an InstanceRegistry, the fault injector, and the
+// recorded history.
 struct ChaosHarness {
   // Congestion scenarios tighten the fabric; kNone leaves every knob at
   // its default so pre-congestion runs stay byte-identical.
-  static net::Switch::Config MakeSwitchConfig(
-      const ChaosOptions& opt, const rdma::FabricParams& fabric) {
-    net::Switch::Config sc;
-    sc.pipeline_latency = fabric.switch_pipeline;
+  static net::Switch::Config MakeSwitchConfig(const ChaosOptions& opt) {
+    net::Switch::Config sc = workload::DefaultSwitchConfig();
     switch (opt.plan.congestion) {
       case CongestionScenario::kNone:
         break;
@@ -103,60 +98,22 @@ struct ChaosHarness {
 
   ChaosHarness(const ChaosOptions& opt, telemetry::Hub* hub)
       : options(opt),
-        nic_config(MakeNicConfig(opt)),
-        sw(sim, MakeSwitchConfig(opt, fabric_params)),
-        compute_nic(sim, kComputeId, fabric_params.host_link,
-                    fabric_params.link_propagation),
-        memory_nic(sim, kMemoryId, fabric_params.host_link,
-                   fabric_params.link_propagation),
-        spot_nic(sim, kSpotId, fabric_params.host_link,
-                 fabric_params.link_propagation),
-        compute_dev(compute_nic, compute_mem, nic_config),
-        memory_dev(memory_nic, memory_mem, nic_config),
-        spot_dev(spot_nic, spot_mem, nic_config),
-        compute_machine(sim, 16),
-        machine_a(sim, 1),
-        machine_b(sim, 1),
-        injector(sim, opt.plan, opt.seed) {
-    compute_nic.ConnectTo(sw);
-    memory_nic.ConnectTo(sw);
-    spot_nic.ConnectTo(sw);
+        fabric(workload::ChaosTopology(opt.plan.migrate),
+               MakeSwitchConfig(opt), MakeNicConfig(opt), hub),
+        standby_machine(fabric.sim, 1),
+        injector(fabric.sim, opt.plan, opt.seed),
+        telemetry_hub(hub) {
     if (opt.plan.migrate) {
-      memory2_nic.emplace(sim, kMemory2Id, fabric_params.host_link,
-                          fabric_params.link_propagation);
-      memory2_dev.emplace(*memory2_nic, memory2_mem, nic_config);
-      memory2_nic->ConnectTo(sw);
       // The elastic pool owns the slabs (it registers the MRs itself);
       // legacy runs keep the historical single RegisterMemory call so the
       // rkey sequence — and thus every golden-pinned byte — is untouched.
-      pool.AddServer(memory_dev, kPoolBase, kMigrateRangeBytes);
-      pool.AddServer(*memory2_dev, kPool2Base, MiB(80));
-    } else {
-      pool_mr = memory_dev.RegisterMemory(kPoolBase, MiB(64));
-    }
-
-    if (hub != nullptr) {
-      hub->tracer.SetClock([this] { return sim.Now(); });
-      std::vector<std::pair<const char*, net::Link*>> fabric = {
-          {"sw_to_compute", &sw.EgressLink(compute_nic.switch_port())},
-          {"sw_to_memory", &sw.EgressLink(memory_nic.switch_port())},
-          {"sw_to_spot", &sw.EgressLink(spot_nic.switch_port())},
-          {"compute_uplink", &compute_nic.uplink()},
-          {"memory_uplink", &memory_nic.uplink()},
-          {"spot_uplink", &spot_nic.uplink()},
-      };
-      if (memory2_nic.has_value()) {
-        fabric.push_back(
-            {"sw_to_memory2", &sw.EgressLink(memory2_nic->switch_port())});
-        fabric.push_back({"memory2_uplink", &memory2_nic->uplink()});
-      }
-      for (const auto& [name, link] : fabric) {
-        link->BindTelemetry(hub->metrics, {{"link", name}});
-        bound_links.push_back(link);
-      }
-      if (memory2_nic.has_value()) {
+      pool.AddServer(memory.dev, kPoolBase, kMigrateRangeBytes);
+      pool.AddServer(fabric.memory(1).dev, kPool2Base, MiB(80));
+      if (hub != nullptr) {
         pool.BindTelemetry(hub->metrics, telemetry::Labels{});
       }
+    } else {
+      pool_mr = memory.dev.RegisterMemory(kPoolBase, MiB(64));
     }
 
     CowbirdClient::Config cc;
@@ -166,7 +123,7 @@ struct ChaosHarness {
     cc.layout.data_capacity = KiB(128);
     cc.layout.resp_capacity = KiB(128);
     cc.telemetry = hub;
-    client = std::make_unique<CowbirdClient>(compute_dev, cc);
+    client = std::make_unique<CowbirdClient>(compute.dev, cc);
     if (opt.plan.migrate) {
       // Preferred-first allocation carves the hot head on the primary
       // server and spills the tail to memory2; the client publishes the
@@ -190,8 +147,10 @@ struct ChaosHarness {
     config_b.staging_base = 0x8000'0000;
     config_b.chaos_unsafe_skip_hazards = opt.break_fence;
     config_b.telemetry = hub;
-    agent_a = std::make_unique<spot::SpotAgent>(spot_dev, machine_a, config_a);
-    agent_b = std::make_unique<spot::SpotAgent>(spot_dev, machine_b, config_b);
+    agent_a =
+        std::make_unique<spot::SpotAgent>(spot.dev, spot.machine, config_a);
+    agent_b = std::make_unique<spot::SpotAgent>(spot.dev, standby_machine,
+                                                config_b);
     agent_a->Start();
     agent_b->Start();
 
@@ -200,7 +159,7 @@ struct ChaosHarness {
       ec.switch_node_id = kSwitchId;
       ec.chaos_unsafe_skip_hazards = opt.break_fence;
       ec.telemetry = hub;
-      p4_engine = std::make_unique<p4::CowbirdP4Engine>(sw, ec);
+      p4_engine = std::make_unique<p4::CowbirdP4Engine>(fabric.sw(), ec);
       p4_engine->Start();
       serving = registry.AddEngine(P4Binding());
       serving_agent = nullptr;
@@ -213,16 +172,9 @@ struct ChaosHarness {
     COWBIRD_CHECK(placed == serving);
 
     if (opt.plan.AnyPacketFaults()) {
-      injector.Attach(sw.EgressLink(compute_nic.switch_port()));
-      injector.Attach(sw.EgressLink(memory_nic.switch_port()));
-      injector.Attach(sw.EgressLink(spot_nic.switch_port()));
-      injector.Attach(compute_nic.uplink());
-      injector.Attach(memory_nic.uplink());
-      injector.Attach(spot_nic.uplink());
-      // Migration-only links attach last, after the legacy links.
-      if (memory2_nic.has_value()) {
-        injector.Attach(sw.EgressLink(memory2_nic->switch_port()));
-        injector.Attach(memory2_nic->uplink());
+      for (int i = 0; i < fabric.host_count(); ++i) {
+        injector.Attach(fabric.host(i).egress());
+        injector.Attach(fabric.host(i).uplink());
       }
     }
     if (opt.plan.congestion == CongestionScenario::kIncast ||
@@ -234,19 +186,19 @@ struct ChaosHarness {
       // 200us between 1ms and 6ms, the links toward the memory and compute
       // hosts pause their data classes for 50us.
       for (Nanos when = Millis(1); when < Millis(6); when += Micros(200)) {
-        sim.ScheduleAt(when, [this] {
-          sw.EgressLink(memory_nic.switch_port()).PauseData(Micros(50));
-          sw.EgressLink(compute_nic.switch_port()).PauseData(Micros(50));
+        fabric.sim.ScheduleAt(when, [this] {
+          memory.egress().PauseData(Micros(50));
+          compute.egress().PauseData(Micros(50));
         });
       }
     }
     for (const Nanos when : opt.plan.crashes) {
-      sim.ScheduleAt(when, [this] { CrashServingEngine(); });
+      fabric.sim.ScheduleAt(when, [this] { CrashServingEngine(); });
     }
     if (opt.plan.migrate) {
       // The copy stream's QP: source-device side `a` writes into memory2's
       // slab, congestion-controlled against the foreground traffic.
-      migrate_qp = rdma::ConnectQueuePairs(memory_dev, *memory2_dev);
+      migrate_qp = rdma::ConnectQueuePairs(memory.dev, fabric.memory(1).dev);
       // Every coordinator tick is pre-scheduled up front: a
       // self-rescheduling tick would draw its event sequence numbers at
       // different points and could move a same-time tie-break, and the
@@ -254,19 +206,8 @@ struct ChaosHarness {
       // migration are cheap no-ops.
       for (Nanos when = opt.plan.migrate_start; when < kDrainDeadline;
            when += kMigrateTick) {
-        sim.ScheduleAt(when, [this] { MigrationTick(); });
+        fabric.sim.ScheduleAt(when, [this] { MigrationTick(); });
       }
-    }
-    telemetry_hub = hub;
-  }
-
-  ~ChaosHarness() {
-    if (telemetry_hub != nullptr) {
-      for (net::Link* link : bound_links) link->UnbindTelemetry();
-      // The per-run simulation dies with the harness but the caller keeps
-      // the hub: freeze the tracer clock at the final virtual time so open
-      // spans clamp sanely instead of reading a dangling Simulation.
-      telemetry_hub->tracer.SetClock([now = sim.Now()] { return now; });
     }
   }
 
@@ -279,7 +220,7 @@ struct ChaosHarness {
     const auto& layout = client->descriptor().layout;
     std::vector<std::uint8_t> block(core::kRedBlockBytes);
     for (int t = 0; t < layout.threads; ++t) {
-      compute_mem.Read(layout.RedAddr(t), block);
+      compute.mem.Read(layout.RedAddr(t), block);
       published.push_back(offload::ProgressPublisher::Unpack(block));
     }
     return published;
@@ -292,9 +233,9 @@ struct ChaosHarness {
     binding.attach = [this, &agent](std::uint32_t instance_id,
                                     const offload::InstanceProgress* resume) {
       COWBIRD_CHECK(instance_id == client->descriptor().instance_id);
-      std::vector<rdma::Device*> memories{&memory_dev};
-      if (memory2_dev.has_value()) memories.push_back(&*memory2_dev);
-      auto conn = spot::ConnectSpotEngine(spot_dev, compute_dev, memories);
+      std::vector<rdma::Device*> memories{&memory.dev};
+      if (options.plan.migrate) memories.push_back(&fabric.memory(1).dev);
+      auto conn = spot::ConnectSpotEngine(spot.dev, compute.dev, memories);
       offload::InstanceProgress reconciled;
       const offload::InstanceProgress* use = resume;
       if (resume != nullptr) {
@@ -336,9 +277,9 @@ struct ChaosHarness {
       // (The first attach still gets the historical 0x800 base.)
       const std::uint32_t qpn_base = p4_qpn_base;
       p4_qpn_base += 0x40;
-      std::vector<rdma::Device*> memories{&memory_dev};
-      if (memory2_dev.has_value()) memories.push_back(&*memory2_dev);
-      auto conn = p4::ConnectP4Engine(*p4_engine, kSwitchId, compute_dev,
+      std::vector<rdma::Device*> memories{&memory.dev};
+      if (options.plan.migrate) memories.push_back(&fabric.memory(1).dev);
+      auto conn = p4::ConnectP4Engine(*p4_engine, kSwitchId, compute.dev,
                                       memories, qpn_base);
       p4_engine->AddInstance(client->descriptor(), conn, resume);
       serving_agent = nullptr;
@@ -380,28 +321,28 @@ struct ChaosHarness {
   void SetupBackgroundTraffic(CongestionScenario scenario) {
     bg_flows.reserve(2);
     if (scenario == CongestionScenario::kIncast) {
-      const auto* mem_mr = memory_dev.RegisterMemory(kBgMemBase, kBgSpan);
-      const auto* spot_mr = spot_dev.RegisterMemory(kBgMemBase, kBgSpan);
-      compute_mem.PreFault(kBgLocalBase, 2 * kBgSpan);
-      bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, memory_dev),
+      const auto* mem_mr = memory.dev.RegisterMemory(kBgMemBase, kBgSpan);
+      const auto* spot_mr = spot.dev.RegisterMemory(kBgMemBase, kBgSpan);
+      compute.mem.PreFault(kBgLocalBase, 2 * kBgSpan);
+      bg_flows.push_back(BgFlow{ConnectQueuePairs(compute.dev, memory.dev),
                                 /*write=*/false, kBgLocalBase, mem_mr->base,
                                 mem_mr->rkey});
-      bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, spot_dev),
+      bg_flows.push_back(BgFlow{ConnectQueuePairs(compute.dev, spot.dev),
                                 /*write=*/false, kBgLocalBase + kBgSpan,
                                 spot_mr->base, spot_mr->rkey});
     } else {
-      const auto* mem_mr = memory_dev.RegisterMemory(kBgMemBase, kBgSpan);
-      compute_mem.PreFault(kBgLocalBase, kBgSpan);
-      spot_mem.PreFault(kBgLocalBase, kBgSpan);
-      bg_flows.push_back(BgFlow{ConnectQueuePairs(compute_dev, memory_dev),
+      const auto* mem_mr = memory.dev.RegisterMemory(kBgMemBase, kBgSpan);
+      compute.mem.PreFault(kBgLocalBase, kBgSpan);
+      spot.mem.PreFault(kBgLocalBase, kBgSpan);
+      bg_flows.push_back(BgFlow{ConnectQueuePairs(compute.dev, memory.dev),
                                 /*write=*/true, kBgLocalBase, mem_mr->base,
                                 mem_mr->rkey});
-      bg_flows.push_back(BgFlow{ConnectQueuePairs(spot_dev, memory_dev),
+      bg_flows.push_back(BgFlow{ConnectQueuePairs(spot.dev, memory.dev),
                                 /*write=*/true, kBgLocalBase, mem_mr->base,
                                 mem_mr->rkey});
     }
     for (BgFlow& f : bg_flows) {
-      sim.ScheduleAt(kBgStart, [this, &f] {
+      fabric.sim.ScheduleAt(kBgStart, [this, &f] {
         for (int i = 0; i < kBgWindow; ++i) PostBg(f);
         PumpBg(f);
       });
@@ -418,7 +359,7 @@ struct ChaosHarness {
 
   void PumpBg(BgFlow& f) {
     while (f.pair.a_send_cq->Pop()) PostBg(f);
-    sim.ScheduleAfter(500, [this, &f] { PumpBg(f); });
+    fabric.sim.ScheduleAfter(500, [this, &f] { PumpBg(f); });
   }
 
   // One step of the copy-then-cutover state machine (core/migration.h),
@@ -433,7 +374,7 @@ struct ChaosHarness {
         mc.window = 2;
         mc.telemetry = telemetry_hub;
         migrator = std::make_unique<core::RegionMigrator>(
-            memory_dev, *migrate_qp.a, *migrate_qp.a_send_cq, *migrate_plan,
+            memory.dev, *migrate_qp.a, *migrate_qp.a_send_cq, *migrate_plan,
             mc);
         migrator->Start();
         migration_stage = MigrationStage::kCopying;
@@ -499,28 +440,13 @@ struct ChaosHarness {
   }
 
   const ChaosOptions& options;
-  sim::Simulation sim;
-  rdma::FabricParams fabric_params;
-  rdma::NicConfig nic_config;
-  net::Switch sw;
-  net::HostNic compute_nic;
-  net::HostNic memory_nic;
-  net::HostNic spot_nic;
-  SparseMemory compute_mem;
-  SparseMemory memory_mem;
-  SparseMemory spot_mem;
-  rdma::Device compute_dev;
-  rdma::Device memory_dev;
-  rdma::Device spot_dev;
-  // Migration runs only: the second memory server (engaged after the
-  // legacy members so everything they consume — switch ports, rkeys — is
-  // untouched when absent).
-  SparseMemory memory2_mem;
-  std::optional<net::HostNic> memory2_nic;
-  std::optional<rdma::Device> memory2_dev;
-  sim::Machine compute_machine;
-  sim::Machine machine_a;
-  sim::Machine machine_b;
+  workload::Fabric fabric;
+  // The testbed's hosts; migration runs add memory2 as fabric.memory(1).
+  workload::Fabric::Host& compute = fabric.compute();
+  workload::Fabric::Host& memory = fabric.memory();
+  workload::Fabric::Host& spot = fabric.spot();
+  // Agent a runs on the spot host's machine, the standby b on its own core.
+  sim::Machine standby_machine;
   const rdma::MemoryRegion* pool_mr = nullptr;
   std::unique_ptr<CowbirdClient> client;
   std::unique_ptr<spot::SpotAgent> agent_a;
@@ -543,7 +469,6 @@ struct ChaosHarness {
   FaultInjector injector;
   std::vector<BgFlow> bg_flows;
   telemetry::Hub* telemetry_hub = nullptr;
-  std::vector<net::Link*> bound_links;
   HistoryRecorder recorder;
   std::uint64_t reads_checked = 0;
   std::uint64_t writes_completed = 0;
@@ -555,7 +480,8 @@ struct ChaosHarness {
 // operation recorded as an interval in the shared history.
 sim::Task<void> WorkloadThread(ChaosHarness& h, int t) {
   const WorkloadParams& wl = h.options.workload;
-  sim::SimThread thread(h.compute_machine, "chaos-app");
+  sim::Simulation& sim = h.fabric.sim;
+  sim::SimThread thread(h.compute.machine, "chaos-app");
   auto& ctx = h.client->thread(t);
   const core::PollId poll = ctx.PollCreate();
   Rng rng(h.options.seed * 1000003 + static_cast<std::uint64_t>(t) * 7919 +
@@ -576,25 +502,25 @@ sim::Task<void> WorkloadThread(ChaosHarness& h, int t) {
   std::deque<PendingEntry> reads, writes;
   int dest_rr = 0;
 
-  auto harvest = [&h, &ctx, &reads, &writes] {
+  auto harvest = [&h, &sim, &ctx, &reads, &writes] {
     while (!reads.empty() && ctx.reads_retired() >= reads.front().seq) {
       const PendingEntry& r = reads.front();
       std::vector<std::uint8_t> observed(r.length);
-      h.compute_mem.Read(r.dest, observed);
-      h.recorder.OnComplete(r.hist_id, h.sim.Now(),
+      h.compute.mem.Read(r.dest, observed);
+      h.recorder.OnComplete(r.hist_id, sim.Now(),
                             HistoryRecorder::Digest(observed));
       ++h.reads_checked;
       reads.pop_front();
     }
     while (!writes.empty() && ctx.writes_retired() >= writes.front().seq) {
-      h.recorder.OnComplete(writes.front().hist_id, h.sim.Now());
+      h.recorder.OnComplete(writes.front().hist_id, sim.Now());
       ++h.writes_completed;
       writes.pop_front();
     }
   };
 
   std::vector<std::uint8_t> payload;
-  for (int i = 0; i < wl.ops_per_thread && h.sim.Now() < kIssueDeadline;) {
+  for (int i = 0; i < wl.ops_per_thread && sim.Now() < kIssueDeadline;) {
     const int slot = static_cast<int>(rng.Below(
         static_cast<std::uint64_t>(wl.slots_per_thread)));
     const std::uint64_t offset =
@@ -611,7 +537,7 @@ sim::Task<void> WorkloadThread(ChaosHarness& h, int t) {
         payload[b] = static_cast<std::uint8_t>(
             version * 37 + static_cast<std::uint64_t>(slot));
       }
-      h.compute_mem.Write(scratch, payload);
+      h.compute.mem.Write(scratch, payload);
       auto id = co_await ctx.AsyncWrite(thread, kRegion, scratch, offset,
                                         wl.len);
       if (!id.has_value()) {
@@ -622,7 +548,7 @@ sim::Task<void> WorkloadThread(ChaosHarness& h, int t) {
       versions[slot] = version;
       const std::uint64_t hist_id =
           h.recorder.OnInvoke(t, /*is_write=*/true, kRegion, offset, wl.len,
-                              h.sim.Now(), HistoryRecorder::Digest(payload));
+                              sim.Now(), HistoryRecorder::Digest(payload));
       writes.push_back(PendingEntry{id->seq(), hist_id, 0, wl.len});
       ctx.PollAdd(poll, *id);
     } else {
@@ -636,7 +562,7 @@ sim::Task<void> WorkloadThread(ChaosHarness& h, int t) {
         continue;
       }
       const std::uint64_t hist_id = h.recorder.OnInvoke(
-          t, /*is_write=*/false, kRegion, offset, wl.len, h.sim.Now());
+          t, /*is_write=*/false, kRegion, offset, wl.len, sim.Now());
       reads.push_back(PendingEntry{id->seq(), hist_id, dest, wl.len});
     }
     ++i;
@@ -650,19 +576,19 @@ sim::Task<void> WorkloadThread(ChaosHarness& h, int t) {
         break;
       }
       if (done.empty()) co_await thread.Idle(Micros(5));
-      if (h.sim.Now() >= kDrainDeadline) break;
+      if (sim.Now() >= kDrainDeadline) break;
     }
-    if (h.sim.Now() >= kDrainDeadline) break;
+    if (sim.Now() >= kDrainDeadline) break;
   }
 
   // Drain: whatever never retires by the deadline stays open in the
   // history and the checker reports it.
   while (!(reads.empty() && writes.empty()) &&
-         h.sim.Now() < kDrainDeadline) {
+         sim.Now() < kDrainDeadline) {
     (void)co_await ctx.PollWait(thread, poll, 16, Micros(50));
     harvest();
   }
-  if (++h.threads_done == h.options.workload.threads) h.sim.Halt();
+  if (++h.threads_done == h.options.workload.threads) sim.Halt();
 }
 
 }  // namespace
@@ -735,6 +661,16 @@ std::optional<WorkloadParams> WorkloadParams::Parse(std::string_view line) {
 }
 
 ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
+  // A CHECK that fails anywhere below names this run, so an aborted sweep
+  // says which seed to replay.
+  char context[128];
+  std::snprintf(context, sizeof(context),
+                "engine=%s seed=%llu congestion=%s migrate=%d",
+                EngineKindName(options.engine),
+                static_cast<unsigned long long>(options.seed),
+                CongestionScenarioName(options.plan.congestion),
+                options.plan.migrate ? 1 : 0);
+  const ScopedCheckContext named_run(context);
   COWBIRD_CHECK(options.workload.threads >= 1);
   COWBIRD_CHECK(options.workload.len >= 16 && options.workload.len <= 4096);
   COWBIRD_CHECK(options.workload.max_outstanding >= 1 &&
@@ -742,9 +678,9 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
 
   ChaosHarness harness(options, hub);
   for (int t = 0; t < options.workload.threads; ++t) {
-    harness.sim.Spawn(WorkloadThread(harness, t));
+    harness.fabric.sim.Spawn(WorkloadThread(harness, t));
   }
-  harness.sim.Run();
+  harness.fabric.sim.Run();
 
   ChaosResult result;
   result.history = harness.recorder.ops();
@@ -763,30 +699,10 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
     result.migrate_bytes_copied = harness.migrator->bytes_copied();
     result.migrate_dirty_marks = harness.migrator->dirty_marks();
   }
-  result.ecn_marked = harness.sw.ecn_marked();
-  result.pfc_pauses = harness.sw.pfc_pauses_sent();
-  std::vector<net::Link*> fabric_links = {
-      &harness.sw.EgressLink(harness.compute_nic.switch_port()),
-      &harness.sw.EgressLink(harness.memory_nic.switch_port()),
-      &harness.sw.EgressLink(harness.spot_nic.switch_port()),
-      &harness.compute_nic.uplink(), &harness.memory_nic.uplink(),
-      &harness.spot_nic.uplink()};
-  std::vector<rdma::Device*> devices = {
-      &harness.compute_dev, &harness.memory_dev, &harness.spot_dev};
-  if (harness.memory2_nic.has_value()) {
-    fabric_links.push_back(
-        &harness.sw.EgressLink(harness.memory2_nic->switch_port()));
-    fabric_links.push_back(&harness.memory2_nic->uplink());
-    devices.push_back(&*harness.memory2_dev);
-  }
-  for (net::Link* link : fabric_links) {
-    result.link_pauses += link->pauses_received();
-  }
-  for (rdma::Device* dev : devices) {
-    if (rdma::CongestionManager* cm = dev->congestion()) {
-      result.cnps += cm->cnps_received();
-    }
-  }
+  result.ecn_marked = harness.fabric.ecn_marked();
+  result.pfc_pauses = harness.fabric.pfc_pauses();
+  result.link_pauses = harness.fabric.link_pauses();
+  result.cnps = harness.fabric.cnps();
   if (hub != nullptr) {
     result.telemetry = hub->metrics.TakeSnapshot();
   }

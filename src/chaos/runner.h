@@ -1,14 +1,15 @@
 // The chaos harness: one deterministic run of client workload + engine(s)
 // + fault plan, with a checked operation history.
 //
-// A run stands up the testbed topology (compute + memory + spot node on one
-// switch), an InstanceRegistry over the chosen primary engine plus spot
-// standbys, and a multi-threaded client workload that records every
-// operation into a HistoryRecorder. The FaultPlan drives a FaultInjector on
-// every fabric link and schedules engine crashes: a crash halts the serving
-// engine's QPs mid-flight (no drain, zombie retransmissions killed) and
-// migrates the instance through the registry to a standby, reconciling the
-// crash-exported snapshot against the client's published red block.
+// A run builds the chaos testbed (workload::ChaosTopology: compute, memory
+// and spot node on one switch), an InstanceRegistry over the chosen primary
+// engine plus spot standbys, and a multi-threaded client workload that
+// records every operation into a HistoryRecorder. The FaultPlan drives a
+// FaultInjector on every fabric link and schedules engine crashes: a crash
+// halts the serving engine's QPs mid-flight (no drain, zombie
+// retransmissions killed) and migrates the instance through the registry to
+// a standby, reconciling the crash-exported snapshot against the client's
+// published red block.
 //
 // Everything is derived from ChaosOptions — same options, same result,
 // bit for bit — which is what makes failure traces replayable.
@@ -101,9 +102,9 @@ ChaosOptions SweepOptions(EngineKind engine, std::uint64_t seed,
 
 // When `hub` is non-null the run is fully instrumented: the tracer's clock
 // is re-seated onto the run's private simulation, the client and engines
-// receive the hub (op-lifecycle spans, engine gauges), and every fabric
-// link is bound to the registry with a {"link": <name>} label so the fault
-// counters in a snapshot can be audited against the decided_* counts.
+// receive the hub (op-lifecycle spans, engine gauges), and the fabric binds
+// every host link as {link=uplink[<host>]} / {link=egress[<host>]} so the
+// fault counters in a snapshot can be audited against the decided_* counts.
 ChaosResult RunChaos(const ChaosOptions& options,
                      telemetry::Hub* hub = nullptr);
 

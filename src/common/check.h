@@ -11,9 +11,34 @@
 
 namespace cowbird {
 
+// Names the run this thread is executing (a chaos run sets its engine and
+// seed), so a failed CHECK says which of a sweep's runs aborted. Null when
+// no run is named.
+inline thread_local const char* check_context = nullptr;
+
+// Sets check_context for a scope; the caller keeps `context` alive.
+class ScopedCheckContext {
+ public:
+  explicit ScopedCheckContext(const char* context)
+      : previous_(check_context) {
+    check_context = context;
+  }
+  ~ScopedCheckContext() { check_context = previous_; }
+  ScopedCheckContext(const ScopedCheckContext&) = delete;
+  ScopedCheckContext& operator=(const ScopedCheckContext&) = delete;
+
+ private:
+  const char* previous_;
+};
+
 [[noreturn]] inline void CheckFailed(const char* expr, const char* file,
                                      int line) {
-  std::fprintf(stderr, "CHECK failed: %s at %s:%d\n", expr, file, line);
+  if (check_context != nullptr) {
+    std::fprintf(stderr, "CHECK failed in run [%s]: %s at %s:%d\n",
+                 check_context, expr, file, line);
+  } else {
+    std::fprintf(stderr, "CHECK failed: %s at %s:%d\n", expr, file, line);
+  }
   std::abort();
 }
 
@@ -25,8 +50,6 @@ namespace cowbird {
       ::cowbird::CheckFailed(#expr, __FILE__, __LINE__); \
     }                                                   \
   } while (0)
-
-#define CHECK_COWBIRD COWBIRD_CHECK  // alias guard against macro collisions
 
 // Sanitizer builds keep DCHECKs on: ASan cannot see inside the host
 // mappings behind SparseMemory, so those bounds are checked by hand.

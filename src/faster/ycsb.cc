@@ -13,7 +13,7 @@
 #include "faster/store.h"
 #include "spot/setup.h"
 #include "workload/generator.h"
-#include "workload/testbed.h"
+#include "workload/fabric.h"
 
 namespace cowbird::faster {
 
@@ -53,32 +53,32 @@ struct YcsbHarness {
         RoundPage(static_cast<Bytes>(cfg.memory_fraction *
                                      static_cast<double>(log_size)));
     sc.spill_page = KiB(32);
-    store = std::make_unique<FasterStore>(bed.compute_mem, sc);
+    store = std::make_unique<FasterStore>(bed.compute().mem, sc);
 
-    pool_mr = bed.memory_dev.RegisterMemory(kPoolBase, device_capacity);
+    pool_mr = bed.memory().dev.RegisterMemory(kPoolBase, device_capacity);
 
     for (int t = 0; t < cfg.threads; ++t) {
       threads.push_back(std::make_unique<sim::SimThread>(
-          bed.compute_machine, "faster-" + std::to_string(t)));
+          bed.compute().machine, "faster-" + std::to_string(t)));
     }
 
     switch (cfg.backend) {
       case Backend::kLocal:
         for (int t = 0; t < cfg.threads; ++t) {
           devices.push_back(std::make_unique<LocalMemoryDevice>(
-              bed.compute_mem, kLocalDeviceBase, cfg.costs));
+              bed.compute().mem, kLocalDeviceBase, cfg.costs));
         }
         break;
       case Backend::kSsd: {
         // One physical SSD shared by all threads.
-        ssd = std::make_unique<SsdDevice>(bed.sim, bed.compute_mem,
+        ssd = std::make_unique<SsdDevice>(bed.sim, bed.compute().mem,
                                           kLocalDeviceBase);
         break;
       }
       case Backend::kOneSidedSync:
         for (int t = 0; t < cfg.threads; ++t) {
-          auto pair = rdma::ConnectQueuePairs(bed.compute_dev,
-                                              bed.memory_dev);
+          auto pair = rdma::ConnectQueuePairs(bed.compute().dev,
+                                              bed.memory().dev);
           devices.push_back(std::make_unique<OneSidedSyncDevice>(
               baselines::OneSidedEndpoint{pair.a, pair.a_send_cq,
                                           pool_mr->rkey},
@@ -87,8 +87,8 @@ struct YcsbHarness {
         break;
       case Backend::kOneSidedAsync:
         for (int t = 0; t < cfg.threads; ++t) {
-          auto pair = rdma::ConnectQueuePairs(bed.compute_dev,
-                                              bed.memory_dev);
+          auto pair = rdma::ConnectQueuePairs(bed.compute().dev,
+                                              bed.memory().dev);
           devices.push_back(std::make_unique<OneSidedAsyncDevice>(
               baselines::OneSidedEndpoint{pair.a, pair.a_send_cq,
                                           pool_mr->rkey},
@@ -104,25 +104,25 @@ struct YcsbHarness {
         cc.layout.data_capacity = MiB(1);
         cc.layout.resp_capacity = MiB(1);
         cc.costs = cfg.costs;
-        client = std::make_unique<core::CowbirdClient>(bed.compute_dev, cc);
+        client = std::make_unique<core::CowbirdClient>(bed.compute().dev, cc);
         client->RegisterRegion(core::RegionInfo{
-            kRegion, workload::Testbed::kMemoryId, kPoolBase, pool_mr->rkey,
+            kRegion, workload::kMemoryId, kPoolBase, pool_mr->rkey,
             device_capacity});
         if (cfg.backend == Backend::kCowbirdP4) {
           p4::CowbirdP4Engine::Config ec;
-          p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw, ec);
+          p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw(), ec);
           auto conn = p4::ConnectP4Engine(*p4_engine, ec.switch_node_id,
-                                          bed.compute_dev, bed.memory_dev,
+                                          bed.compute().dev, bed.memory().dev,
                                           0x800);
           p4_engine->AddInstance(client->descriptor(), conn);
           p4_engine->Start();
         } else {
           spot::SpotAgent::Config ac = cfg.agent;
           ac.costs = cfg.costs;
-          agent = std::make_unique<spot::SpotAgent>(bed.spot_dev,
-                                                    bed.spot_machine, ac);
-          rdma::Device* memories[] = {&bed.memory_dev};
-          auto conn = spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev,
+          agent = std::make_unique<spot::SpotAgent>(bed.spot().dev,
+                                                    bed.spot().machine, ac);
+          rdma::Device* memories[] = {&bed.memory().dev};
+          auto conn = spot::ConnectSpotEngine(bed.spot().dev, bed.compute().dev,
                                               memories);
           agent->AddInstance(client->descriptor(), conn.to_compute,
                              conn.compute_cq, conn.to_memory,
@@ -137,13 +137,13 @@ struct YcsbHarness {
       }
       case Backend::kRedy: {
         redy = std::make_unique<baselines::RedyEngine>(
-            bed.compute_machine,
+            bed.compute().machine,
             baselines::RedyEngine::Config{.window = cfg.pipeline,
                                           .enqueue_cost = 60,
                                           .costs = cfg.costs});
         for (int t = 0; t < cfg.threads; ++t) {
-          auto pair = rdma::ConnectQueuePairs(bed.compute_dev,
-                                              bed.memory_dev);
+          auto pair = rdma::ConnectQueuePairs(bed.compute().dev,
+                                              bed.memory().dev);
           const int io = redy->AddIoThread(baselines::OneSidedEndpoint{
               pair.a, pair.a_send_cq, pool_mr->rkey});
           devices.push_back(std::make_unique<RedyDevice>(*redy, io, kPoolBase,
@@ -178,16 +178,16 @@ struct YcsbHarness {
     }
   }
 
-  bool VerifyRecord(std::uint64_t dest, std::uint64_t key) const {
+  bool VerifyRecord(std::uint64_t dest, std::uint64_t key) {
     // Record header: key at offset 0; value begins at 16.
-    const auto stored_key = bed.compute_mem.ReadValue<std::uint64_t>(dest);
+    const auto stored_key = bed.compute().mem.ReadValue<std::uint64_t>(dest);
     const auto value_key =
-        bed.compute_mem.ReadValue<std::uint64_t>(dest + 16);
+        bed.compute().mem.ReadValue<std::uint64_t>(dest + 16);
     return stored_key == key && value_key == key;
   }
 
   YcsbConfig cfg;
-  workload::Testbed bed;
+  workload::Fabric bed{workload::Section7Topology()};
   const rdma::MemoryRegion* pool_mr = nullptr;
   std::unique_ptr<FasterStore> store;
   std::vector<std::unique_ptr<sim::SimThread>> threads;

@@ -46,6 +46,7 @@ class Link {
       : sim_(&sim), rate_(rate), propagation_(propagation) {}
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
+  ~Link() { UnbindTelemetry(); }
 
   void set_receiver(std::function<void(Packet&&)> receiver) {
     receiver_ = std::move(receiver);
@@ -115,7 +116,7 @@ class Link {
 
   // Surfaces delivery and fault counters through a registry as callback
   // gauges (evaluated at snapshot time; the link pays nothing per packet).
-  // The link must outlive the registry or UnbindTelemetry first.
+  // The destructor unbinds, so the registry must outlive the link.
   void BindTelemetry(telemetry::MetricRegistry& registry,
                      const telemetry::Labels& labels);
   void UnbindTelemetry();

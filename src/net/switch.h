@@ -65,6 +65,7 @@ class Switch {
       : sim_(&sim), config_(config) {}
   Switch(const Switch&) = delete;
   Switch& operator=(const Switch&) = delete;
+  ~Switch() { UnbindTelemetry(); }
 
   // Creates the egress (switch→device) link for a new port.
   int AddPort(BitRate rate, Nanos propagation);
@@ -126,7 +127,7 @@ class Switch {
   }
 
   // Queue-depth / mark-rate / pause counters as snapshot-time callback
-  // gauges. The switch must outlive the registry or UnbindTelemetry first.
+  // gauges. The destructor unbinds, so the registry must outlive the switch.
   void BindTelemetry(telemetry::MetricRegistry& registry,
                      const telemetry::Labels& labels);
   void UnbindTelemetry();

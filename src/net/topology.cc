@@ -22,21 +22,24 @@ const char* TopoNodeKindName(TopoNodeKind kind) {
   return "?";
 }
 
-TopoNodeId Topology::AddNode(TopoNodeKind kind, std::string name,
-                             NodeId address) {
-  nodes_.push_back(Node{kind, std::move(name), address});
+TopoNodeId Topology::AddSwitch(std::string name) {
+  nodes_.push_back(Node{TopoNodeKind::kSwitch, std::move(name)});
   return static_cast<TopoNodeId>(nodes_.size() - 1);
 }
 
-int Topology::AddEdge(TopoNodeId a, TopoNodeId b, Nanos propagation,
-                      std::string name) {
+TopoNodeId Topology::AddHost(TopoNodeKind kind, std::string name,
+                             NodeId address, int cores) {
+  COWBIRD_CHECK(kind != TopoNodeKind::kSwitch && cores > 0);
+  nodes_.push_back(Node{kind, std::move(name), address, cores});
+  return static_cast<TopoNodeId>(nodes_.size() - 1);
+}
+
+int Topology::AddEdge(TopoNodeId a, TopoNodeId b, BitRate rate,
+                      Nanos propagation) {
   COWBIRD_CHECK(a >= 0 && a < node_count());
   COWBIRD_CHECK(b >= 0 && b < node_count());
   COWBIRD_CHECK(a != b);
-  if (name.empty()) {
-    name = node(a).name + "<->" + node(b).name;
-  }
-  edges_.push_back(Edge{a, b, propagation, std::move(name)});
+  edges_.push_back(Edge{a, b, rate, propagation});
   return static_cast<int>(edges_.size() - 1);
 }
 

@@ -3,9 +3,10 @@
 // A Topology is a declarative plan built before any Simulation object
 // exists: nodes are the things attached to the fabric (compute hosts,
 // memory servers, spot hosts, switches), edges are the full-duplex
-// net::Link attachments between them, each carrying its propagation delay.
-// The rack-scale fan-in testbed describes its fabric this way (node names
-// label its telemetry series); every node runs on the run's one event loop.
+// net::Link attachments between them, each carrying its rate and
+// propagation delay. A host node also carries its logical core count, so
+// the graph fully describes the fabric that workload::Fabric builds from
+// it.
 #pragma once
 
 #include <string>
@@ -34,19 +35,22 @@ class Topology {
     TopoNodeKind kind = TopoNodeKind::kComputeHost;
     std::string name;
     NodeId address = 0;  // fabric address (switch routing); 0 for switches
+    int cores = 0;       // logical cores of a host's machine; 0 for switches
   };
   // Full-duplex attachment: a Link in each direction, both with the same
-  // propagation delay (what every HostNic::ConnectTo builds today).
+  // rate and propagation delay (what HostNic::ConnectTo and ConnectTrunk
+  // build).
   struct Edge {
     TopoNodeId a = -1;
     TopoNodeId b = -1;
+    BitRate rate;
     Nanos propagation = 0;
-    std::string name;
   };
 
-  TopoNodeId AddNode(TopoNodeKind kind, std::string name, NodeId address = 0);
-  int AddEdge(TopoNodeId a, TopoNodeId b, Nanos propagation,
-              std::string name = {});
+  TopoNodeId AddSwitch(std::string name);
+  TopoNodeId AddHost(TopoNodeKind kind, std::string name, NodeId address,
+                     int cores);
+  int AddEdge(TopoNodeId a, TopoNodeId b, BitRate rate, Nanos propagation);
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
   int edge_count() const { return static_cast<int>(edges_.size()); }

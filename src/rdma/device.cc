@@ -26,7 +26,7 @@ Device::Device(net::HostNic& nic, SparseMemory& memory, NicConfig config)
   }
 }
 
-Device::~Device() = default;
+Device::~Device() { UnbindTelemetry(); }
 
 const MemoryRegion* Device::RegisterMemory(std::uint64_t base, Bytes length) {
   auto region = std::make_unique<MemoryRegion>();

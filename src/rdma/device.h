@@ -139,7 +139,7 @@ class Device {
   std::uint64_t total_retransmissions() const;
 
   // Surfaces packet and retransmission counters as callback gauges. The
-  // device must outlive the registry or UnbindTelemetry first.
+  // destructor unbinds, so the registry must outlive the device.
   void BindTelemetry(telemetry::MetricRegistry& registry,
                      const telemetry::Labels& labels);
   void UnbindTelemetry();

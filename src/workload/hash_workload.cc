@@ -17,7 +17,7 @@
 #include "p4/engine.h"
 #include "spot/setup.h"
 #include "workload/generator.h"
-#include "workload/testbed.h"
+#include "workload/fabric.h"
 
 namespace cowbird::workload {
 
@@ -45,40 +45,20 @@ constexpr std::uint16_t kRegion = 1;
 struct Harness {
   explicit Harness(const HashWorkloadConfig& config,
                    BitRate compute_uplink = BitRate::Gbps(100))
-      : cfg(config), bed(16, compute_uplink) {
-    pool_mr = bed.memory_dev.RegisterMemory(
+      : cfg(config),
+        bed(Section7Topology(compute_uplink), DefaultSwitchConfig(), {},
+            config.telemetry) {
+    pool_mr = bed.memory().dev.RegisterMemory(
         kPoolBase, cfg.records * cfg.record_size + KiB(4));
     // Registration mapped the record pool; map the per-thread delivery
     // windows too, so no write on the measured datapath maps memory. The
     // kernel still backs each page on its first touch.
     for (int t = 0; t < cfg.threads; ++t) {
-      bed.compute_mem.PreFault(kHeapBase + t * kHeapStride, kHeapStride);
-    }
-    if (auto* hub = cfg.telemetry) {
-      hub->tracer.SetClock([this] { return bed.sim.Now(); });
-      bed.compute_dev.BindTelemetry(hub->metrics, {{"node", "compute"}});
-      bed.memory_dev.BindTelemetry(hub->metrics, {{"node", "memory"}});
-      bed.spot_dev.BindTelemetry(hub->metrics, {{"node", "spot"}});
-      const std::pair<const char*, net::Link*> fabric[] = {
-          {"sw_to_compute", &bed.sw.EgressLink(bed.compute_nic.switch_port())},
-          {"sw_to_memory", &bed.sw.EgressLink(bed.memory_nic.switch_port())},
-          {"sw_to_spot", &bed.sw.EgressLink(bed.spot_nic.switch_port())},
-          {"compute_uplink", &bed.compute_nic.uplink()},
-          {"memory_uplink", &bed.memory_nic.uplink()},
-          {"spot_uplink", &bed.spot_nic.uplink()},
-      };
-      for (const auto& [name, link] : fabric) {
-        link->BindTelemetry(hub->metrics, {{"link", name}});
-        bound_links.push_back(link);
-      }
-      // Datapath object pools: in-use / high-water / exhaustion gauges make
-      // a mis-sized pool visible instead of silently degrading to the heap.
-      BindPoolTelemetry(hub->metrics, telemetry::Labels{{"pool", "sim_events"}},
-                        bed.sim.EventPoolStats());
+      bed.compute().mem.PreFault(kHeapBase + t * kHeapStride, kHeapStride);
     }
     for (int t = 0; t < cfg.threads; ++t) {
       threads.push_back(
-          std::make_unique<sim::SimThread>(bed.compute_machine,
+          std::make_unique<sim::SimThread>(bed.compute().machine,
                                            "app-" + std::to_string(t)));
       ops.push_back(0);
     }
@@ -92,21 +72,21 @@ struct Harness {
         break;
       case Paradigm::kTwoSidedSync: {
         server = std::make_unique<baselines::TwoSidedServer>(
-            bed.memory_dev, bed.memory_machine, cfg.costs);
+            bed.memory().dev, bed.memory().machine, cfg.costs);
         for (int t = 0; t < cfg.threads; ++t) {
-          auto pair = rdma::ConnectQueuePairs(bed.compute_dev,
-                                              bed.memory_dev);
+          auto pair = rdma::ConnectQueuePairs(bed.compute().dev,
+                                              bed.memory().dev);
           server->Serve(pair.b, pair.b_recv_cq, t);
           rpc_clients.push_back(std::make_unique<baselines::TwoSidedClient>(
-              bed.compute_dev, pair.a, pair.a_recv_cq, cfg.costs, t));
+              bed.compute().dev, pair.a, pair.a_recv_cq, cfg.costs, t));
         }
         break;
       }
       case Paradigm::kOneSidedSync:
       case Paradigm::kOneSidedAsync: {
         for (int t = 0; t < cfg.threads; ++t) {
-          auto pair = rdma::ConnectQueuePairs(bed.compute_dev,
-                                              bed.memory_dev);
+          auto pair = rdma::ConnectQueuePairs(bed.compute().dev,
+                                              bed.memory().dev);
           baselines::OneSidedEndpoint ep{pair.a, pair.a_send_cq,
                                          pool_mr->rkey};
           endpoints.push_back(ep);
@@ -126,16 +106,16 @@ struct Harness {
         cc.layout.resp_capacity = MiB(1);
         cc.costs = cfg.costs;
         cc.telemetry = cfg.telemetry;
-        client = std::make_unique<core::CowbirdClient>(bed.compute_dev, cc);
+        client = std::make_unique<core::CowbirdClient>(bed.compute().dev, cc);
         client->RegisterRegion(core::RegionInfo{
-            kRegion, Testbed::kMemoryId, kPoolBase, pool_mr->rkey,
+            kRegion, kMemoryId, kPoolBase, pool_mr->rkey,
             cfg.records * cfg.record_size + KiB(4)});
         if (cfg.paradigm == Paradigm::kCowbirdP4) {
           p4::CowbirdP4Engine::Config ec;
           ec.telemetry = cfg.telemetry;
-          p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw, ec);
+          p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw(), ec);
           auto conn = p4::ConnectP4Engine(*p4_engine, ec.switch_node_id,
-                                          bed.compute_dev, bed.memory_dev,
+                                          bed.compute().dev, bed.memory().dev,
                                           0x800);
           p4_engine->AddInstance(client->descriptor(), conn);
           p4_engine->Start();
@@ -145,11 +125,11 @@ struct Harness {
         ac.costs = cfg.costs;
         ac.telemetry = cfg.telemetry;
         if (cfg.paradigm == Paradigm::kCowbirdNoBatch) ac.batch_size = 1;
-        agent = std::make_unique<spot::SpotAgent>(bed.spot_dev,
-                                                  bed.spot_machine, ac);
-        rdma::Device* memories[] = {&bed.memory_dev};
-        auto conn =
-            spot::ConnectSpotEngine(bed.spot_dev, bed.compute_dev, memories);
+        agent = std::make_unique<spot::SpotAgent>(bed.spot().dev,
+                                                  bed.spot().machine, ac);
+        rdma::Device* memories[] = {&bed.memory().dev};
+        auto conn = spot::ConnectSpotEngine(bed.spot().dev, bed.compute().dev,
+                                            memories);
         agent->AddInstance(client->descriptor(), conn.to_compute,
                            conn.compute_cq, conn.to_memory, conn.memory_cqs);
         agent->Start();
@@ -158,31 +138,14 @@ struct Harness {
     }
 
     if (cfg.loss_rate > 0) {
-      net::Link* lossy[] = {
-          &bed.sw.EgressLink(bed.compute_nic.switch_port()),
-          &bed.sw.EgressLink(bed.memory_nic.switch_port()),
-          &bed.sw.EgressLink(bed.spot_nic.switch_port()),
-      };
+      net::Link* lossy[] = {&bed.compute().egress(), &bed.memory().egress(),
+                            &bed.spot().egress()};
       // One shared stream drawn in delivery order.
       loss_rng = std::make_unique<Rng>(cfg.seed * 104729 + 1);
       auto filter = [this](const net::Packet& p) {
         return rdma::LooksLikeRdma(p) && loss_rng->Bernoulli(cfg.loss_rate);
       };
       for (net::Link* link : lossy) link->set_drop_filter(filter);
-    }
-  }
-
-  ~Harness() {
-    if (auto* hub = cfg.telemetry) {
-      bed.compute_dev.UnbindTelemetry();
-      bed.memory_dev.UnbindTelemetry();
-      bed.spot_dev.UnbindTelemetry();
-      for (net::Link* link : bound_links) link->UnbindTelemetry();
-      UnbindPoolTelemetry(hub->metrics,
-                          telemetry::Labels{{"pool", "sim_events"}});
-      // The testbed simulation dies with the harness but the caller keeps
-      // the hub: freeze the tracer clock at the final virtual time.
-      hub->tracer.SetClock([now = bed.sim.Now()] { return now; });
     }
   }
 
@@ -198,7 +161,7 @@ struct Harness {
   }
 
   HashWorkloadConfig cfg;
-  Testbed bed;
+  Fabric bed;
   const rdma::MemoryRegion* pool_mr = nullptr;
   std::unique_ptr<core::CowbirdClient> client;
   std::unique_ptr<spot::SpotAgent> agent;
@@ -212,7 +175,6 @@ struct Harness {
   std::vector<std::unique_ptr<baselines::AsyncPipeline>> pipelines;
   std::vector<baselines::OneSidedEndpoint> endpoints;
   std::vector<std::uint64_t> ops;
-  std::vector<net::Link*> bound_links;
 };
 
 // Per-operation application work common to all paradigms.
@@ -566,7 +528,7 @@ ContentionResult RunContentionExperiment(const HashWorkloadConfig& config,
                                                 config.zipf_theta);
   }
   // Worst case per the paper: RDMA above user traffic on the shared uplink.
-  h.bed.compute_nic.uplink().set_priority_scheduling(true);
+  h.bed.compute().nic.uplink().set_priority_scheduling(true);
 
   for (int t = 0; t < config.threads; ++t) {
     switch (config.paradigm) {
@@ -586,7 +548,7 @@ ContentionResult RunContentionExperiment(const HashWorkloadConfig& config,
   std::vector<std::unique_ptr<net::GreedyFlow>> flows;
   for (int i = 0; i < tcp_flows; ++i) {
     flows.push_back(std::make_unique<net::GreedyFlow>(
-        h.bed.compute_nic, h.bed.bystander_nic,
+        h.bed.compute().nic, h.bed.bystander().nic,
         static_cast<std::uint16_t>(i), net::GreedyFlow::Config{}));
   }
 

@@ -1,5 +1,6 @@
 #include "workload/scale_workload.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -13,9 +14,8 @@
 #include "core/cluster_pool.h"
 #include "core/migration.h"
 #include "p4/engine.h"
-#include "rdma/congestion.h"
 #include "spot/setup.h"
-#include "workload/testbed.h"
+#include "workload/fabric.h"
 
 namespace cowbird::workload {
 namespace {
@@ -40,14 +40,18 @@ int ServerFor(const ScaleWorkloadConfig& cfg, int k) {
 
 struct ScaleHarness {
   explicit ScaleHarness(const ScaleWorkloadConfig& config)
-      : cfg(config), bed(MakeFanInConfig(config)) {
+      : cfg(config),
+        bed(RackTopology(cfg.clients, cfg.memory_servers,
+                         std::max(2, cfg.threads_per_client),
+                         cfg.client_groups, cfg.client_propagation,
+                         cfg.trunk_propagation),
+            MakeSwitchConfig(cfg), MakeNicConfig(cfg), cfg.telemetry) {
     latency_traces.resize(
         static_cast<std::size_t>(cfg.clients * cfg.threads_per_client));
     const Bytes pool_bytes = cfg.records * cfg.record_size + KiB(4);
     for (int m = 0; m < cfg.memory_servers; ++m) {
       pool_mrs.push_back(
-          bed.memory_devs[static_cast<std::size_t>(m)]->RegisterMemory(
-              kPoolBase, pool_bytes));
+          bed.memory(m).dev.RegisterMemory(kPoolBase, pool_bytes));
     }
     if (cfg.migrate) {
       // Client 0's region comes from an elastic ClusterPool instead of the
@@ -58,25 +62,20 @@ struct ScaleHarness {
                    core::ClusterPool::kRangeAlign *
                    core::ClusterPool::kRangeAlign;
       for (int m = 0; m < 2; ++m) {
-        const auto mm = static_cast<std::size_t>(m);
-        pool.AddServer(*bed.memory_devs[mm], kSlabBase, slab_bytes);
+        pool.AddServer(bed.memory(m).dev, kSlabBase, slab_bytes);
       }
       if (cfg.telemetry != nullptr) {
         pool.BindTelemetry(cfg.telemetry->metrics, telemetry::Labels{});
       }
     }
 
-    BindTelemetry();
-
     // Per-client Cowbird instances, every one offloaded through the same
     // engine (fan-in). Client k's region lives on memory server k % M.
     for (int k = 0; k < cfg.clients; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
       for (int t = 0; t < cfg.threads_per_client; ++t) {
-        bed.client_mems[kk]->PreFault(kHeapBase + t * kHeapStride,
-                                      kHeapStride);
+        bed.compute(k).mem.PreFault(kHeapBase + t * kHeapStride, kHeapStride);
         threads.push_back(std::make_unique<sim::SimThread>(
-            *bed.client_machines[kk],
+            bed.compute(k).machine,
             "app-" + std::to_string(k) + "-" + std::to_string(t)));
       }
       core::CowbirdClient::Config cc;
@@ -87,18 +86,18 @@ struct ScaleHarness {
       cc.layout.resp_capacity = MiB(1);
       cc.costs = cfg.costs;
       cc.telemetry = cfg.telemetry;
-      clients.push_back(std::make_unique<core::CowbirdClient>(
-          *bed.client_devs[kk], cc));
+      clients.push_back(
+          std::make_unique<core::CowbirdClient>(bed.compute(k).dev, cc));
       const int server = ServerFor(cfg, k);
       if (cfg.migrate && k == 0) {
-        const auto region = pool.AllocateRegion(kRegion, kPoolBase,
-                                                slab_bytes, bed.memory_id(0));
+        const auto region = pool.AllocateRegion(
+            kRegion, kPoolBase, slab_bytes, bed.memory(0).nic.id());
         COWBIRD_CHECK(region.has_value());
         clients.back()->RegisterRegion(*region);
         clients.back()->SetRegionRanges(kRegion, pool.RangesFor(kRegion));
       } else {
         clients.back()->RegisterRegion(core::RegionInfo{
-            kRegion, bed.memory_id(server), kPoolBase,
+            kRegion, bed.memory(server).nic.id(), kPoolBase,
             pool_mrs[static_cast<std::size_t>(server)]->rkey, pool_bytes});
       }
       ops.emplace_back(static_cast<std::size_t>(cfg.threads_per_client), 0);
@@ -114,7 +113,7 @@ struct ScaleHarness {
         ec.probe_interval = cfg.p4_probe_interval;
       }
       p4_switch_id = ec.switch_node_id;
-      p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw, ec);
+      p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw(), ec);
       for (int k = 0; k < cfg.clients; ++k) {
         const int server = ServerFor(cfg, k);
         const std::uint32_t qpn_base =
@@ -123,15 +122,13 @@ struct ScaleHarness {
         if (cfg.migrate && k == 0) {
           // The migrating instance needs an endpoint pair on both servers:
           // post-cutover translations resolve to the destination.
-          rdma::Device* memories[] = {bed.memory_devs[0].get(),
-                                      bed.memory_devs[1].get()};
+          rdma::Device* memories[] = {&bed.memory(0).dev, &bed.memory(1).dev};
           conn = p4::ConnectP4Engine(*p4_engine, ec.switch_node_id,
-                                     *bed.client_devs[0], memories, qpn_base);
+                                     bed.compute(0).dev, memories, qpn_base);
         } else {
-          conn = p4::ConnectP4Engine(
-              *p4_engine, ec.switch_node_id,
-              *bed.client_devs[static_cast<std::size_t>(k)],
-              *bed.memory_devs[static_cast<std::size_t>(server)], qpn_base);
+          conn = p4::ConnectP4Engine(*p4_engine, ec.switch_node_id,
+                                     bed.compute(k).dev,
+                                     bed.memory(server).dev, qpn_base);
         }
         p4_engine->AddInstance(clients[static_cast<std::size_t>(k)]
                                    ->descriptor(),
@@ -145,20 +142,18 @@ struct ScaleHarness {
       spot::SpotAgent::Config ac = cfg.agent;
       ac.costs = cfg.costs;
       ac.telemetry = cfg.telemetry;
-      agent = std::make_unique<spot::SpotAgent>(*bed.spot_dev,
-                                                *bed.spot_machine, ac);
+      agent = std::make_unique<spot::SpotAgent>(bed.spot().dev,
+                                                bed.spot().machine, ac);
       for (int k = 0; k < cfg.clients; ++k) {
         const int server = ServerFor(cfg, k);
         std::vector<rdma::Device*> memories;
         if (cfg.migrate && k == 0) {
-          memories = {bed.memory_devs[0].get(), bed.memory_devs[1].get()};
+          memories = {&bed.memory(0).dev, &bed.memory(1).dev};
         } else {
-          memories = {bed.memory_devs[static_cast<std::size_t>(server)]
-                          .get()};
+          memories = {&bed.memory(server).dev};
         }
-        auto conn = spot::ConnectSpotEngine(
-            *bed.spot_dev, *bed.client_devs[static_cast<std::size_t>(k)],
-            memories);
+        auto conn = spot::ConnectSpotEngine(bed.spot().dev,
+                                            bed.compute(k).dev, memories);
         agent->AddInstance(clients[static_cast<std::size_t>(k)]
                                ->descriptor(),
                            conn.to_compute, conn.compute_cq, conn.to_memory,
@@ -170,8 +165,8 @@ struct ScaleHarness {
     if (cfg.migrate) {
       // The copy stream rides a dedicated QP src→dst, sharing the fabric —
       // and therefore contending — with the foreground read traffic.
-      migrate_qp = rdma::ConnectQueuePairs(*bed.memory_devs[0],
-                                           *bed.memory_devs[1]);
+      migrate_qp =
+          rdma::ConnectQueuePairs(bed.memory(0).dev, bed.memory(1).dev);
     }
   }
 
@@ -192,14 +187,15 @@ struct ScaleHarness {
       case MigrationStage::kArmed: {
         migrate_started_at = now;
         ops_at_migrate_start = TotalOps();
-        migrate_plan = pool.PlanMove(kRegion, kPoolBase, bed.memory_id(1));
+        migrate_plan =
+            pool.PlanMove(kRegion, kPoolBase, bed.memory(1).nic.id());
         COWBIRD_CHECK(migrate_plan.has_value());
         core::RegionMigrator::Config mc;
         mc.chunk = cfg.migrate_chunk;
         mc.window = cfg.migrate_window;
         mc.telemetry = cfg.telemetry;
         migrator = std::make_unique<core::RegionMigrator>(
-            *bed.memory_devs[0], *migrate_qp.a, *migrate_qp.a_send_cq,
+            bed.memory(0).dev, *migrate_qp.a, *migrate_qp.a_send_cq,
             *migrate_plan, mc);
         migrator->Start();
         migration_stage = MigrationStage::kCopying;
@@ -228,17 +224,17 @@ struct ScaleHarness {
         pool.CommitMove(*migrate_plan);
         clients[0]->SetRegionRanges(kRegion, pool.RangesFor(kRegion));
         migrator->Finish();
-        rdma::Device* memories[] = {bed.memory_devs[0].get(),
-                                    bed.memory_devs[1].get()};
+        rdma::Device* memories[] = {&bed.memory(0).dev, &bed.memory(1).dev};
         if (p4_engine != nullptr) {
           const auto conn = p4::ConnectP4Engine(
-              *p4_engine, p4_switch_id, *bed.client_devs[0], memories,
+              *p4_engine, p4_switch_id, bed.compute(0).dev, memories,
               reattach_qpn_base);
           p4_engine->AddInstance(clients[0]->descriptor(), conn,
                                  &*migrate_resume);
         } else {
-          const auto conn = spot::ConnectSpotEngine(
-              *bed.spot_dev, *bed.client_devs[0], memories);
+          const auto conn = spot::ConnectSpotEngine(bed.spot().dev,
+                                                    bed.compute(0).dev,
+                                                    memories);
           agent->AddInstance(clients[0]->descriptor(), conn.to_compute,
                              conn.compute_cq, conn.to_memory,
                              conn.memory_cqs, &*migrate_resume);
@@ -254,62 +250,19 @@ struct ScaleHarness {
     }
   }
 
-  ~ScaleHarness() {
-    if (cfg.telemetry != nullptr) {
-      for (int k = 0; k < cfg.clients; ++k) {
-        bed.client_devs[static_cast<std::size_t>(k)]->UnbindTelemetry();
-      }
-      for (int m = 0; m < cfg.memory_servers; ++m) {
-        bed.memory_devs[static_cast<std::size_t>(m)]->UnbindTelemetry();
-      }
-      bed.spot_dev->UnbindTelemetry();
-      for (net::Link* link : bound_links) link->UnbindTelemetry();
-      cfg.telemetry->tracer.SetClock([now = bed.sim.Now()] { return now; });
-    }
+  static net::Switch::Config MakeSwitchConfig(const ScaleWorkloadConfig& c) {
+    net::Switch::Config sc = DefaultSwitchConfig();
+    sc.egress_queue_capacity = c.egress_queue_capacity;
+    sc.ecn_threshold = c.ecn_threshold;
+    sc.pfc_enabled = c.pfc;
+    return sc;
   }
 
-  static FanInConfig MakeFanInConfig(const ScaleWorkloadConfig& config) {
-    FanInConfig fan;
-    fan.clients = config.clients;
-    fan.memory_servers = config.memory_servers;
-    fan.client_cores = std::max(2, config.threads_per_client);
-    fan.client_groups = config.client_groups;
-    fan.client_propagation = config.client_propagation;
-    fan.trunk_propagation = config.trunk_propagation;
-    fan.egress_queue_capacity = config.egress_queue_capacity;
-    fan.ecn_threshold = config.ecn_threshold;
-    fan.pfc = config.pfc;
-    fan.dcqcn = config.dcqcn;
-    fan.retransmit_timeout = config.retransmit_timeout;
-    return fan;
-  }
-
-  void BindTelemetry() {
-    telemetry::Hub* hub = cfg.telemetry;
-    if (hub == nullptr) return;
-    hub->tracer.SetClock([this] { return bed.sim.Now(); });
-    auto bind_host = [this, hub](rdma::Device& dev, net::HostNic& nic,
-                                 net::TopoNodeId node, net::Switch& attach_sw) {
-      const std::string& name = bed.topo.node(node).name;
-      dev.BindTelemetry(hub->metrics, {{"node", name}});
-      net::Link& up = nic.uplink();
-      net::Link& down = attach_sw.EgressLink(nic.switch_port());
-      up.BindTelemetry(hub->metrics, {{"link", "uplink[" + name + "]"}});
-      down.BindTelemetry(hub->metrics, {{"link", "egress[" + name + "]"}});
-      bound_links.push_back(&up);
-      bound_links.push_back(&down);
-    };
-    for (int k = 0; k < cfg.clients; ++k) {
-      const auto kk = static_cast<std::size_t>(k);
-      bind_host(*bed.client_devs[kk], *bed.client_nics[kk],
-                bed.client_node(k), bed.client_switch(k));
-    }
-    for (int m = 0; m < cfg.memory_servers; ++m) {
-      const auto mm = static_cast<std::size_t>(m);
-      bind_host(*bed.memory_devs[mm], *bed.memory_nics[mm],
-                bed.memory_node(m), bed.sw);
-    }
-    bind_host(*bed.spot_dev, *bed.spot_nic, bed.spot_node(), bed.sw);
+  static rdma::NicConfig MakeNicConfig(const ScaleWorkloadConfig& c) {
+    rdma::NicConfig nc;
+    nc.dcqcn = c.dcqcn;
+    nc.retransmit_timeout = c.retransmit_timeout;
+    return nc;
   }
 
   sim::SimThread& ThreadFor(int k, int t) {
@@ -322,7 +275,7 @@ struct ScaleHarness {
   }
 
   ScaleWorkloadConfig cfg;
-  FanInTestbed bed;
+  Fabric bed;
   std::vector<const rdma::MemoryRegion*> pool_mrs;
   std::vector<std::unique_ptr<core::CowbirdClient>> clients;
   std::unique_ptr<spot::SpotAgent> agent;
@@ -333,7 +286,6 @@ struct ScaleHarness {
   // pairs, recorded only when cfg.sample_latency. Traces merge in fixed
   // (k, t) order after the run.
   std::vector<std::vector<std::pair<Nanos, Nanos>>> latency_traces;
-  std::vector<net::Link*> bound_links;
 
   // Live-rebalance state (untouched unless cfg.migrate).
   enum class MigrationStage { kArmed, kCopying, kDraining, kDone };
@@ -538,21 +490,10 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
   }
 
   result.switch_drops = h.bed.switch_drops();
-  result.ecn_marked = h.bed.sw.ecn_marked();
-  result.pfc_pauses = h.bed.sw.pfc_pauses_sent();
-  for (const auto& leaf : h.bed.group_tors) {
-    result.ecn_marked += leaf->ecn_marked();
-    result.pfc_pauses += leaf->pfc_pauses_sent();
-  }
-  auto accumulate_dev = [&result](rdma::Device& dev) {
-    result.retransmissions += dev.total_retransmissions();
-    if (rdma::CongestionManager* cm = dev.congestion()) {
-      result.cnps += cm->cnps_received();
-    }
-  };
-  for (auto& dev : h.bed.client_devs) accumulate_dev(*dev);
-  for (auto& dev : h.bed.memory_devs) accumulate_dev(*dev);
-  accumulate_dev(*h.bed.spot_dev);
+  result.ecn_marked = h.bed.ecn_marked();
+  result.pfc_pauses = h.bed.pfc_pauses();
+  result.retransmissions = h.bed.retransmissions();
+  result.cnps = h.bed.cnps();
 
   if (config.telemetry != nullptr) {
     result.telemetry = config.telemetry->metrics.TakeSnapshot();

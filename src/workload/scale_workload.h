@@ -1,8 +1,9 @@
 // The rack-scale fan-in workload: K compute clients and M memory servers
-// around one top-of-rack switch (FanInTestbed), every client running the
-// async read loop of the hash workload against a pool on memory server
-// k % M, all offloaded through one engine — a single Cowbird-Spot agent
-// serving K instances (fan-in), or the P4 engine on the switch.
+// around one top-of-rack switch (RackTopology in workload/fabric.h), every
+// client running the async read loop of the hash workload against a pool
+// on memory server k % M, all offloaded through one engine — a single
+// Cowbird-Spot agent serving K instances (fan-in), or the P4 engine on the
+// switch.
 //
 // The default shape is the 16-node scaling fabric of the ROADMAP: 12
 // clients + 2 memory servers + 1 spot host + 1 switch; `client_groups`
@@ -53,16 +54,15 @@ struct ScaleWorkloadConfig {
   Nanos p4_probe_interval = 0;
   rdma::CostModel costs;
   // Two-tier fabric: > 1 spreads the clients over this many per-group ToR
-  // switches, each trunked into the core (FanInConfig::client_groups). The
-  // default keeps the flat single-switch fan-in.
+  // switches, each trunked into the core (RackTopology). The default keeps
+  // the flat single-switch fan-in.
   int client_groups = 1;
   // Client-uplink propagation delay; 0 keeps the fabric profile's uniform
-  // link_propagation. Short in-rack DACs are tens of ns
-  // (FanInConfig::client_propagation).
+  // link_propagation. Short in-rack DACs are tens of ns.
   Nanos client_propagation = 0;
   // ToR <-> core trunk propagation; 0 keeps the fabric profile's uniform
   // link_propagation. Hall-scale optical runs are an order of magnitude
-  // longer than in-rack DACs (FanInConfig::trunk_propagation).
+  // longer than in-rack DACs.
   Nanos trunk_propagation = 0;
   // Optional telemetry: every device, link, client and engine binds to this
   // hub, and the run's final metric state comes back in
@@ -71,15 +71,17 @@ struct ScaleWorkloadConfig {
   // Incast: every client targets memory server 0 instead of k % M, so all
   // K client flows converge on one switch egress port.
   bool incast = false;
-  // Fabric congestion profile, passed through to the testbed. Defaults
-  // keep the fabric byte-identical to the uncontended runs.
+  // Fabric congestion profile, mapped onto every switch's Switch::Config
+  // and every NIC's NicConfig. Defaults keep the fabric byte-identical to
+  // the uncontended runs.
   Bytes egress_queue_capacity = MiB(4);
   Bytes ecn_threshold = 0;
   bool pfc = false;
   rdma::DcqcnConfig dcqcn;
   // Go-Back-N timeout for every NIC. Raise well above the congested RTT
   // when DCQCN paces flows, or pacing delays read as loss and the rewinds
-  // re-execute whole read windows (see FanInConfig::retransmit_timeout).
+  // re-execute whole read windows, which the rate control then amplifies
+  // into a retransmission storm.
   Nanos retransmit_timeout = Micros(100);
   // Records per-op issue→completion latency and reports p50/p99 over the
   // measure window. Off by default; enabling draws no extra RNG values, so

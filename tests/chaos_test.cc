@@ -198,6 +198,18 @@ TEST(ChaosRunTest, InjectedFaultCountersMatchDecisionsExactly) {
 // --jobs runs them: each run draws only from its own fault stream, so its
 // injection decisions, crashes and history are the same for any worker
 // count. Seed 3 schedules an engine crash (odd seeds do); seed 4 does not.
+// A CHECK that fails inside a run names the run, so a sweep that aborts
+// says which seed to replay. Zero workload threads trips RunChaos's own
+// argument check, after the run is named.
+TEST(ChaosRunDeathTest, CheckFailureNamesTheRun) {
+  ChaosOptions options = SweepOptions(EngineKind::kP4, /*seed=*/1973);
+  options.plan.congestion = CongestionScenario::kVictim;
+  options.workload.threads = 0;
+  EXPECT_DEATH(RunChaos(options),
+               "CHECK failed in run \\[engine=p4 seed=1973 "
+               "congestion=victim migrate=0\\]");
+}
+
 TEST(ChaosSplitTest, BitIdenticalAcrossWorkerCountsWithFaultsAndCrashes) {
   std::vector<ChaosOptions> runs;
   for (EngineKind engine : {EngineKind::kSpot, EngineKind::kP4}) {

@@ -26,6 +26,7 @@
 #include "rdma/qp.h"
 #include "sim/simulation.h"
 #include "test_seed.h"
+#include "workload/fabric.h"
 
 namespace cowbird {
 namespace {
@@ -39,22 +40,41 @@ constexpr Bytes kReadBytes = 4096;
 constexpr Bytes kPoolBytes = MiB(8);
 constexpr std::uint64_t kPoolBase = 0x100000;
 
-// Four hosts on one switch, fabric tuned like the abl_incast ECN policy:
+// Five hosts on one switch, fabric tuned like the abl_incast ECN policy:
 // shallow marked queues, DCQCN on every NIC, and a Go-Back-N timeout above
 // the congested RTT so pacing delay is not misread as loss. PFC stays off
 // here on purpose — a pause asserted against a memory host's ingress would
 // hold its whole uplink (head-of-line blocking), and these tests isolate
 // what the *rate control* converges to.
-struct CongestedFabric {
+struct CongestedFabric : workload::Fabric {
   static constexpr int kHosts = 5;
 
-  sim::Simulation sim;
-  rdma::FabricParams fabric;
-  rdma::NicConfig nic_config;
-  net::Switch sw;
-  std::vector<std::unique_ptr<net::HostNic>> nics;
-  std::vector<std::unique_ptr<SparseMemory>> mems;
-  std::vector<std::unique_ptr<rdma::Device>> devs;
+  CongestedFabric()
+      : Fabric(MakeTopology(), MakeSwitchConfig(), MakeNicConfig()) {}
+
+  static net::Topology MakeTopology() {
+    const rdma::FabricParams fabric;
+    net::Topology topo;
+    const net::TopoNodeId tor = topo.AddSwitch("tor");
+    for (int h = 0; h < kHosts; ++h) {
+      topo.AddEdge(topo.AddHost(net::TopoNodeKind::kComputeHost,
+                                "host" + std::to_string(h),
+                                static_cast<net::NodeId>(h + 1), 1),
+                   tor, fabric.host_link, fabric.link_propagation);
+    }
+    return topo;
+  }
+
+  static net::Switch::Config MakeSwitchConfig() {
+    net::Switch::Config sc = workload::DefaultSwitchConfig();
+    // Deep enough to absorb the opening burst (two 32-deep windows of 4 KiB
+    // responses land before the first CNP can): one tail-drop costs a 1 ms
+    // Go-Back-N stall and turns the run into an RTO cycle instead of a
+    // pacing equilibrium. Marking still starts at 16 KiB.
+    sc.egress_queue_capacity = KiB(512);
+    sc.ecn_threshold = KiB(16);
+    return sc;
+  }
 
   static rdma::NicConfig MakeNicConfig() {
     rdma::NicConfig nc;
@@ -71,28 +91,7 @@ struct CongestedFabric {
     return nc;
   }
 
-  CongestedFabric()
-      : nic_config(MakeNicConfig()),
-        sw(sim, net::Switch::Config{
-                    // Deep enough to absorb the opening burst (two 32-deep
-                    // windows of 4 KiB responses land before the first CNP
-                    // can): one tail-drop costs a 1 ms Go-Back-N stall and
-                    // turns the run into an RTO cycle instead of a pacing
-                    // equilibrium. Marking still starts at 16 KiB.
-                    .egress_queue_capacity = KiB(512),
-                    .pipeline_latency = fabric.switch_pipeline,
-                    .ecn_threshold = KiB(16),
-                }) {
-    for (int h = 0; h < kHosts; ++h) {
-      nics.push_back(std::make_unique<net::HostNic>(
-          sim, static_cast<net::NodeId>(h + 1), fabric.host_link,
-          fabric.link_propagation));
-      mems.push_back(std::make_unique<SparseMemory>());
-      devs.push_back(
-          std::make_unique<rdma::Device>(*nics[h], *mems[h], nic_config));
-      nics[h]->ConnectTo(sw);
-    }
-  }
+  rdma::Device& dev(int h) { return host(h).dev; }
 };
 
 // Closed-loop read driver: keeps `window` 4 KiB reads outstanding on one QP
@@ -165,10 +164,10 @@ TEST(DcqcnConvergence, TwoCompetingFlowsConvergeToFairShare) {
   CongestedFabric f;
   // Host 0 reads from hosts 1 and 2 simultaneously: two 100G response
   // streams incast into host 0's single 100G egress port.
-  QpPair flow1 = ConnectQueuePairs(*f.devs[0], *f.devs[1]);
-  QpPair flow2 = ConnectQueuePairs(*f.devs[0], *f.devs[2]);
-  const auto* mr1 = f.devs[1]->RegisterMemory(kPoolBase, kPoolBytes);
-  const auto* mr2 = f.devs[2]->RegisterMemory(kPoolBase, kPoolBytes);
+  QpPair flow1 = ConnectQueuePairs(f.dev(0), f.dev(1));
+  QpPair flow2 = ConnectQueuePairs(f.dev(0), f.dev(2));
+  const auto* mr1 = f.dev(1).RegisterMemory(kPoolBase, kPoolBytes);
+  const auto* mr2 = f.dev(2).RegisterMemory(kPoolBase, kPoolBytes);
 
   ReadLoad load1(f.sim, flow1, mr1, /*window=*/32, seed * 2 + 1);
   ReadLoad load2(f.sim, flow2, mr2, /*window=*/32, seed * 2 + 2);
@@ -180,9 +179,9 @@ TEST(DcqcnConvergence, TwoCompetingFlowsConvergeToFairShare) {
   const double rate2 = load2.MeasuredGbps();
   const double fair = (rate1 + rate2) / 2;
   // The control loop really ran: marks were made and CNPs echoed back.
-  EXPECT_GT(f.sw.ecn_marked(), 0u);
-  EXPECT_GT(f.devs[1]->congestion()->cnps_received(), 0u);
-  EXPECT_GT(f.devs[2]->congestion()->cnps_received(), 0u);
+  EXPECT_GT(f.sw().ecn_marked(), 0u);
+  EXPECT_GT(f.dev(1).congestion()->cnps_received(), 0u);
+  EXPECT_GT(f.dev(2).congestion()->cnps_received(), 0u);
   // Convergence: each flow within 10% of the fair share of whatever the
   // two of them achieved together, and the total did not collapse (the
   // congestion-unaware failure mode is a retransmission storm that leaves
@@ -206,15 +205,15 @@ TEST(DcqcnConvergence, VictimFlowOnUncongestedPortKeepsItsSoloRate) {
   // verdict is checker invariants rather than a rate floor.
   const auto run = [&](bool with_incast) {
     CongestedFabric f;
-    QpPair victim = ConnectQueuePairs(*f.devs[3], *f.devs[4]);
-    const auto* mr1 = f.devs[1]->RegisterMemory(kPoolBase, kPoolBytes);
-    const auto* mr2 = f.devs[2]->RegisterMemory(kPoolBase, kPoolBytes);
-    const auto* mr4 = f.devs[4]->RegisterMemory(kPoolBase, kPoolBytes);
+    QpPair victim = ConnectQueuePairs(f.dev(3), f.dev(4));
+    const auto* mr1 = f.dev(1).RegisterMemory(kPoolBase, kPoolBytes);
+    const auto* mr2 = f.dev(2).RegisterMemory(kPoolBase, kPoolBytes);
+    const auto* mr4 = f.dev(4).RegisterMemory(kPoolBase, kPoolBytes);
     ReadLoad victim_load(f.sim, victim, mr4, /*window=*/32, seed * 3 + 1);
     std::unique_ptr<ReadLoad> incast1, incast2;
     if (with_incast) {
-      QpPair flow1 = ConnectQueuePairs(*f.devs[0], *f.devs[1]);
-      QpPair flow2 = ConnectQueuePairs(*f.devs[0], *f.devs[2]);
+      QpPair flow1 = ConnectQueuePairs(f.dev(0), f.dev(1));
+      QpPair flow2 = ConnectQueuePairs(f.dev(0), f.dev(2));
       incast1 = std::make_unique<ReadLoad>(f.sim, flow1, mr1, 32,
                                            seed * 3 + 2);
       incast2 = std::make_unique<ReadLoad>(f.sim, flow2, mr2, 32,
@@ -226,7 +225,7 @@ TEST(DcqcnConvergence, VictimFlowOnUncongestedPortKeepsItsSoloRate) {
     f.sim.Run();
     if (with_incast) {
       // The incast genuinely congested port 0 while the victim measured.
-      EXPECT_GT(f.sw.ecn_marked(), 0u);
+      EXPECT_GT(f.sw().ecn_marked(), 0u);
     }
     return victim_load.MeasuredGbps();
   };

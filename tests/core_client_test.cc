@@ -6,12 +6,12 @@
 #include "core/client.h"
 #include "core/layout.h"
 #include "core/request.h"
-#include "fabric_fixture.h"
+#include "workload/fabric.h"
 
 namespace cowbird::core {
 namespace {
 
-using cowbird::testing::TestFabric;
+using workload::Fabric;
 
 TEST(Layout, RegionsDoNotOverlap) {
   InstanceLayout layout;
@@ -84,29 +84,29 @@ TEST(ReqIdTest, EncodesAllFields) {
 }
 
 TEST(CowbirdClientSetup, ConstructionMapsTheWholeRingMr) {
-  TestFabric f;
+  Fabric f{workload::ChaosTopology()};
   CowbirdClient::Config config;
   config.layout.base = 0x10000;
   config.layout.threads = 3;
   config.layout.meta_slots = 64;
   config.layout.data_capacity = KiB(256);
   config.layout.resp_capacity = KiB(256);
-  ASSERT_EQ(f.compute_mem.ResidentPages(), 0u);
-  CowbirdClient client(f.compute_dev, config);
+  ASSERT_EQ(f.compute().mem.ResidentPages(), 0u);
+  CowbirdClient client(f.compute().dev, config);
   const InstanceLayout& layout = client.descriptor().layout;
-  EXPECT_EQ(f.compute_mem.ResidentPages() * SparseMemory::kPageSize,
+  EXPECT_EQ(f.compute().mem.ResidentPages() * SparseMemory::kPageSize,
             (layout.base + layout.TotalBytes() + SparseMemory::kPageSize - 1) /
                     SparseMemory::kPageSize * SparseMemory::kPageSize -
                 layout.base);
   // Every ring of every thread is mapped already: touching their ends maps
   // nothing on the datapath.
-  const std::size_t extents = f.compute_mem.Extents();
+  const std::size_t extents = f.compute().mem.Extents();
   for (int t = 0; t < layout.threads; ++t) {
-    f.compute_mem.WriteValue<std::uint8_t>(layout.MetaRingAddr(t), 1);
-    f.compute_mem.WriteValue<std::uint8_t>(
+    f.compute().mem.WriteValue<std::uint8_t>(layout.MetaRingAddr(t), 1);
+    f.compute().mem.WriteValue<std::uint8_t>(
         layout.RespRingAddr(t) + layout.resp_capacity - 1, 1);
   }
-  EXPECT_EQ(f.compute_mem.Extents(), extents);
+  EXPECT_EQ(f.compute().mem.Extents(), extents);
 }
 
 class ClientTest : public ::testing::Test {
@@ -122,10 +122,10 @@ class ClientTest : public ::testing::Test {
     config.layout.meta_slots = 8;
     config.layout.data_capacity = 4096;
     config.layout.resp_capacity = 4096;
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, config);
-    client_->RegisterRegion(RegionInfo{kRegion, TestFabric::kMemoryId,
+    client_ = std::make_unique<CowbirdClient>(f_.compute().dev, config);
+    client_->RegisterRegion(RegionInfo{kRegion, workload::kMemoryId,
                                        0x100000, 0xAB, MiB(64)});
-    thread_ = std::make_unique<sim::SimThread>(f_.compute_machine, "app");
+    thread_ = std::make_unique<sim::SimThread>(f_.compute().machine, "app");
   }
 
   // Emulates the offload engine publishing progress: writes the red block
@@ -133,7 +133,7 @@ class ClientTest : public ::testing::Test {
   void WriteRed(int t, std::uint64_t meta_head, std::uint64_t write_prog,
                 std::uint64_t read_prog) {
     const auto& layout = client_->descriptor().layout;
-    auto& mem = f_.compute_mem;
+    auto& mem = f_.compute().mem;
     mem.WriteValue<std::uint64_t>(layout.RedAddr(t), meta_head);
     mem.WriteValue<std::uint64_t>(layout.RedAddr(t) + 24, write_prog);
     mem.WriteValue<std::uint64_t>(layout.RedAddr(t) + 32, read_prog);
@@ -146,7 +146,7 @@ class ClientTest : public ::testing::Test {
     f_.sim.Run();
   }
 
-  TestFabric f_;
+  Fabric f_{workload::ChaosTopology()};
   std::unique_ptr<CowbirdClient> client_;
   std::unique_ptr<sim::SimThread> thread_;
 };
@@ -164,12 +164,12 @@ TEST_F(ClientTest, AsyncReadPublishesMetadataAndTail) {
 
   const auto& layout = client_->descriptor().layout;
   // Green tail advanced to 1.
-  EXPECT_EQ(f_.compute_mem.ReadValue<std::uint64_t>(layout.GreenAddr(0)), 1u);
+  EXPECT_EQ(f_.compute().mem.ReadValue<std::uint64_t>(layout.GreenAddr(0)), 1u);
   // Thread 1's green block untouched.
-  EXPECT_EQ(f_.compute_mem.ReadValue<std::uint64_t>(layout.GreenAddr(1)), 0u);
+  EXPECT_EQ(f_.compute().mem.ReadValue<std::uint64_t>(layout.GreenAddr(1)), 0u);
   // The published entry matches Table 3.
   std::vector<std::uint8_t> raw(kMetadataEntryBytes);
-  f_.compute_mem.Read(layout.MetaSlotAddr(0, 0), raw);
+  f_.compute().mem.Read(layout.MetaSlotAddr(0, 0), raw);
   const auto meta = RequestMetadata::ParseBytes(raw);
   EXPECT_EQ(meta.rw_type, RwType::kRead);
   EXPECT_EQ(meta.region_id, kRegion);
@@ -180,7 +180,7 @@ TEST_F(ClientTest, AsyncReadPublishesMetadataAndTail) {
 
 TEST_F(ClientTest, AsyncWriteStagesPayload) {
   std::vector<std::uint8_t> payload(100, 0x5A);
-  f_.compute_mem.Write(kHeap, payload);
+  f_.compute().mem.Write(kHeap, payload);
   std::optional<ReqId> id;
   RunClient([&]() -> sim::Task<void> {
     id = co_await client_->thread(0).AsyncWrite(*thread_, kRegion, kHeap,
@@ -192,13 +192,13 @@ TEST_F(ClientTest, AsyncWriteStagesPayload) {
   const auto& layout = client_->descriptor().layout;
   // Payload copied into the request data ring.
   std::vector<std::uint8_t> staged(100);
-  f_.compute_mem.Read(layout.DataRingAddr(0), staged);
+  f_.compute().mem.Read(layout.DataRingAddr(0), staged);
   EXPECT_EQ(staged, payload);
   // Green data tail advanced.
-  EXPECT_EQ(f_.compute_mem.ReadValue<std::uint64_t>(layout.GreenAddr(0) + 8),
+  EXPECT_EQ(f_.compute().mem.ReadValue<std::uint64_t>(layout.GreenAddr(0) + 8),
             100u);
   std::vector<std::uint8_t> raw(kMetadataEntryBytes);
-  f_.compute_mem.Read(layout.MetaSlotAddr(0, 0), raw);
+  f_.compute().mem.Read(layout.MetaSlotAddr(0, 0), raw);
   const auto meta = RequestMetadata::ParseBytes(raw);
   EXPECT_EQ(meta.req_addr, layout.DataRingAddr(0));
   EXPECT_EQ(meta.resp_addr, 0x100000u + 0x3000u);
@@ -236,14 +236,14 @@ TEST_F(ClientTest, PollWaitReturnsCompletionsAndCopiesData) {
     EXPECT_TRUE(none.empty());
     // Engine delivers the payload into the response ring, then publishes.
     std::vector<std::uint8_t> payload(64, 0xCD);
-    f_.compute_mem.Write(layout.RespRingAddr(0), payload);
+    f_.compute().mem.Write(layout.RespRingAddr(0), payload);
     WriteRed(0, 1, 0, 1);
     done = co_await ctx.PollWait(*thread_, poll, 1, Micros(100));
   });
   EXPECT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].seq(), 1u);
   std::vector<std::uint8_t> out(64);
-  f_.compute_mem.Read(kHeap, out);
+  f_.compute().mem.Read(kHeap, out);
   EXPECT_EQ(out, std::vector<std::uint8_t>(64, 0xCD));
 }
 
@@ -285,7 +285,7 @@ TEST_F(ClientTest, RespRingWrapPadsToContiguous) {
     EXPECT_TRUE(a.has_value());
     // Complete it so the ring head can advance past it on reconcile.
     std::vector<std::uint8_t> p1(3000, 1);
-    f_.compute_mem.Write(layout.RespRingAddr(0), p1);
+    f_.compute().mem.Write(layout.RespRingAddr(0), p1);
     WriteRed(0, 1, 0, 1);
     const PollId poll = ctx.PollCreate();
     ctx.PollAdd(poll, *a);
@@ -296,7 +296,7 @@ TEST_F(ClientTest, RespRingWrapPadsToContiguous) {
     auto b = co_await ctx.AsyncRead(*thread_, kRegion, 0, kHeap + 4096, 2000);
     EXPECT_TRUE(b.has_value());
     std::vector<std::uint8_t> raw(kMetadataEntryBytes);
-    f_.compute_mem.Read(layout.MetaSlotAddr(0, 1), raw);
+    f_.compute().mem.Read(layout.MetaSlotAddr(0, 1), raw);
     EXPECT_EQ(RequestMetadata::ParseBytes(raw).resp_addr,
               layout.RespRingAddr(0));  // wrapped to the start
   });

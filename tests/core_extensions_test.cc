@@ -5,14 +5,14 @@
 #include "common/rng.h"
 #include "core/convenience.h"
 #include "core/region_allocator.h"
-#include "fabric_fixture.h"
 #include "spot/agent.h"
 #include "spot/setup.h"
+#include "workload/fabric.h"
 
 namespace cowbird::core {
 namespace {
 
-using cowbird::testing::TestFabric;
+using workload::Fabric;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
@@ -22,8 +22,8 @@ constexpr std::uint64_t kHeap = 0x4000000;
 // ---------------------------------------------------------------------------
 
 TEST(RegionAllocator, AllocateReleaseCoalesce) {
-  TestFabric f;
-  RegionAllocator pool(f.memory_dev, kPoolBase, MiB(1));
+  Fabric f{workload::ChaosTopology()};
+  RegionAllocator pool(f.memory().dev, kPoolBase, MiB(1));
 
   auto a = pool.Allocate(1, KiB(256));
   auto b = pool.Allocate(2, KiB(256));
@@ -49,8 +49,8 @@ TEST(RegionAllocator, AllocateReleaseCoalesce) {
 }
 
 TEST(RegionAllocator, ExhaustionReturnsNullopt) {
-  TestFabric f;
-  RegionAllocator pool(f.memory_dev, kPoolBase, KiB(128));
+  Fabric f{workload::ChaosTopology()};
+  RegionAllocator pool(f.memory().dev, kPoolBase, KiB(128));
   EXPECT_TRUE(pool.Allocate(1, KiB(128)).has_value());
   EXPECT_FALSE(pool.Allocate(2, 64).has_value());
 }
@@ -58,31 +58,31 @@ TEST(RegionAllocator, ExhaustionReturnsNullopt) {
 TEST(RegionAllocator, AllocatedRegionServesRdma) {
   // End-to-end: a region carved by the allocator is directly usable as a
   // Cowbird region (the rkey resolves on the memory node).
-  TestFabric f;
-  sim::Machine spot_machine(f.sim, 1);
-  RegionAllocator pool(f.memory_dev, kPoolBase, MiB(8));
+  Fabric f{workload::ChaosTopology()};
+  RegionAllocator pool(f.memory().dev, kPoolBase, MiB(8));
   auto region = pool.Allocate(1, MiB(1));
   ASSERT_TRUE(region.has_value());
 
   CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  CowbirdClient client(f.compute_dev, cc);
+  CowbirdClient client(f.compute().dev, cc);
   client.RegisterRegion(*region);
 
-  spot::SpotAgent agent(f.spot_dev, spot_machine, spot::SpotAgent::Config{});
-  rdma::Device* memories[] = {&f.memory_dev};
-  auto conn = spot::ConnectSpotEngine(f.spot_dev, f.compute_dev, memories);
+  spot::SpotAgent agent(f.spot().dev, f.spot().machine,
+                        spot::SpotAgent::Config{});
+  rdma::Device* memories[] = {&f.memory().dev};
+  auto conn = spot::ConnectSpotEngine(f.spot().dev, f.compute().dev, memories);
   agent.AddInstance(client.descriptor(), conn.to_compute, conn.compute_cq,
                     conn.to_memory, conn.memory_cqs);
   agent.Start();
 
   std::vector<std::uint8_t> data(64, 0x5C);
-  f.memory_mem.Write(region->remote_base + 128, data);
+  f.memory().mem.Write(region->remote_base + 128, data);
 
-  sim::SimThread thread(f.compute_machine, "app");
+  sim::SimThread thread(f.compute().machine, "app");
   bool ok = false;
-  f.sim.Spawn([](TestFabric& ff, CowbirdClient& cl, sim::SimThread& thr,
+  f.sim.Spawn([](Fabric& ff, CowbirdClient& cl, sim::SimThread& thr,
                  bool& out) -> sim::Task<void> {
     ImplicitGroup group(cl.thread(0));
     out = co_await group.ReadSync(thr, 1, 128, kHeap, 64);
@@ -91,7 +91,7 @@ TEST(RegionAllocator, AllocatedRegionServesRdma) {
   f.sim.Run();
   EXPECT_TRUE(ok);
   std::vector<std::uint8_t> out(64);
-  f.compute_mem.Read(kHeap, out);
+  f.compute().mem.Read(kHeap, out);
   EXPECT_EQ(out, data);
 }
 
@@ -101,33 +101,32 @@ TEST(RegionAllocator, AllocatedRegionServesRdma) {
 
 class ConvenienceTest : public ::testing::Test {
  public:
-  ConvenienceTest() : spot_machine_(f_.sim, 1) {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(16));
+  ConvenienceTest() {
+    pool_mr_ = f_.memory().dev.RegisterMemory(kPoolBase, MiB(16));
     CowbirdClient::Config cc;
     cc.layout.base = 0x10000;
     cc.layout.threads = 1;
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, cc);
-    client_->RegisterRegion(RegionInfo{1, TestFabric::kMemoryId, kPoolBase,
+    client_ = std::make_unique<CowbirdClient>(f_.compute().dev, cc);
+    client_->RegisterRegion(RegionInfo{1, workload::kMemoryId, kPoolBase,
                                        pool_mr_->rkey, MiB(16)});
-    agent_ = std::make_unique<spot::SpotAgent>(f_.spot_dev, spot_machine_,
+    agent_ = std::make_unique<spot::SpotAgent>(f_.spot().dev, f_.spot().machine,
                                                spot::SpotAgent::Config{});
-    rdma::Device* memories[] = {&f_.memory_dev};
-    auto conn = spot::ConnectSpotEngine(f_.spot_dev, f_.compute_dev,
+    rdma::Device* memories[] = {&f_.memory().dev};
+    auto conn = spot::ConnectSpotEngine(f_.spot().dev, f_.compute().dev,
                                         memories);
     agent_->AddInstance(client_->descriptor(), conn.to_compute,
                         conn.compute_cq, conn.to_memory, conn.memory_cqs);
     agent_->Start();
   }
 
-  TestFabric f_;
-  sim::Machine spot_machine_;
+  Fabric f_{workload::ChaosTopology()};
   const rdma::MemoryRegion* pool_mr_;
   std::unique_ptr<CowbirdClient> client_;
   std::unique_ptr<spot::SpotAgent> agent_;
 };
 
 TEST_F(ConvenienceTest, SelectReturnsCompletionsOneByOne) {
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(f_.compute().machine, "app");
   int selected = 0;
   f_.sim.Spawn([](ConvenienceTest& t, sim::SimThread& thr,
                   int& count) -> sim::Task<void> {
@@ -149,7 +148,7 @@ TEST_F(ConvenienceTest, SelectReturnsCompletionsOneByOne) {
 }
 
 TEST_F(ConvenienceTest, SelectTimesOutWhenNothingPending) {
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(f_.compute().machine, "app");
   bool timed_out = false;
   f_.sim.Spawn([](ConvenienceTest& t, sim::SimThread& thr,
                   bool& out) -> sim::Task<void> {
@@ -164,7 +163,7 @@ TEST_F(ConvenienceTest, SelectTimesOutWhenNothingPending) {
 }
 
 TEST_F(ConvenienceTest, WaitForSpecificRequestSkipsOthers) {
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(f_.compute().machine, "app");
   bool ok = false;
   f_.sim.Spawn([](ConvenienceTest& t, sim::SimThread& thr,
                   bool& out) -> sim::Task<void> {
@@ -186,9 +185,9 @@ TEST_F(ConvenienceTest, ReadSyncMovesRealBytes) {
   std::vector<std::uint8_t> data(200);
   Rng rng(5);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
-  f_.memory_mem.Write(kPoolBase + 0x3000, data);
+  f_.memory().mem.Write(kPoolBase + 0x3000, data);
 
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(f_.compute().machine, "app");
   bool ok = false;
   f_.sim.Spawn([](ConvenienceTest& t, sim::SimThread& thr,
                   bool& out) -> sim::Task<void> {
@@ -199,7 +198,7 @@ TEST_F(ConvenienceTest, ReadSyncMovesRealBytes) {
   f_.sim.Run();
   ASSERT_TRUE(ok);
   std::vector<std::uint8_t> out(200);
-  f_.compute_mem.Read(kHeap, out);
+  f_.compute().mem.Read(kHeap, out);
   EXPECT_EQ(out, data);
 }
 

@@ -5,17 +5,17 @@
 
 #include "common/rng.h"
 #include "core/client.h"
-#include "fabric_fixture.h"
 #include "p4/engine.h"
 #include "spot/agent.h"
 #include "spot/setup.h"
+#include "workload/fabric.h"
 
 namespace cowbird {
 namespace {
 
 using core::CowbirdClient;
 using core::ReqId;
-using cowbird::testing::TestFabric;
+using workload::Fabric;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
@@ -29,7 +29,7 @@ std::vector<std::uint8_t> Pattern(std::size_t n, std::uint64_t seed) {
 }
 
 // One read through a client/region, waiting for completion.
-sim::Task<std::vector<std::uint8_t>> ReadVia(TestFabric& f,
+sim::Task<std::vector<std::uint8_t>> ReadVia(Fabric& f,
                                              CowbirdClient& client,
                                              sim::SimThread& thread,
                                              std::uint16_t region,
@@ -46,26 +46,27 @@ sim::Task<std::vector<std::uint8_t>> ReadVia(TestFabric& f,
   while ((co_await ctx.PollWait(thread, poll, 1, Millis(5))).empty()) {
   }
   std::vector<std::uint8_t> out(len);
-  f.compute_mem.Read(dest, out);
+  f.compute().mem.Read(dest, out);
   co_return out;
 }
 
 TEST(SpotMultiInstance, TwoClientsOneAgent) {
-  TestFabric f;
-  sim::Machine spot_machine(f.sim, 1);
-  const auto* pool_mr = f.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+  Fabric f{workload::ChaosTopology()};
+  const auto* pool_mr = f.memory().dev.RegisterMemory(kPoolBase, MiB(64));
 
-  spot::SpotAgent agent(f.spot_dev, spot_machine, spot::SpotAgent::Config{});
+  spot::SpotAgent agent(f.spot().dev, f.spot().machine,
+                        spot::SpotAgent::Config{});
   std::vector<std::unique_ptr<CowbirdClient>> clients;
   for (int i = 0; i < 2; ++i) {
     CowbirdClient::Config cc;
     cc.layout.base = 0x10000 + static_cast<std::uint64_t>(i) * MiB(8);
     cc.layout.threads = 1;
-    clients.push_back(std::make_unique<CowbirdClient>(f.compute_dev, cc));
+    clients.push_back(std::make_unique<CowbirdClient>(f.compute().dev, cc));
     clients.back()->RegisterRegion(core::RegionInfo{
-        1, TestFabric::kMemoryId, kPoolBase, pool_mr->rkey, MiB(64)});
-    rdma::Device* memories[] = {&f.memory_dev};
-    auto conn = spot::ConnectSpotEngine(f.spot_dev, f.compute_dev, memories);
+        1, workload::kMemoryId, kPoolBase, pool_mr->rkey, MiB(64)});
+    rdma::Device* memories[] = {&f.memory().dev};
+    auto conn =
+        spot::ConnectSpotEngine(f.spot().dev, f.compute().dev, memories);
     agent.AddInstance(clients.back()->descriptor(), conn.to_compute,
                       conn.compute_cq, conn.to_memory, conn.memory_cqs);
   }
@@ -73,13 +74,13 @@ TEST(SpotMultiInstance, TwoClientsOneAgent) {
 
   const auto d0 = Pattern(128, 1);
   const auto d1 = Pattern(128, 2);
-  f.memory_mem.Write(kPoolBase + 0x1000, d0);
-  f.memory_mem.Write(kPoolBase + 0x2000, d1);
+  f.memory().mem.Write(kPoolBase + 0x1000, d0);
+  f.memory().mem.Write(kPoolBase + 0x2000, d1);
 
-  sim::SimThread thread(f.compute_machine, "app");
+  sim::SimThread thread(f.compute().machine, "app");
   int done = 0;
   for (int i = 0; i < 2; ++i) {
-    f.sim.Spawn([](TestFabric& ff, CowbirdClient& cl, sim::SimThread& thr,
+    f.sim.Spawn([](Fabric& ff, CowbirdClient& cl, sim::SimThread& thr,
                    std::uint64_t off, std::uint64_t dest, int& count)
                     -> sim::Task<void> {
       (void)co_await ReadVia(ff, cl, thr, 1, off, 128, dest);
@@ -90,42 +91,42 @@ TEST(SpotMultiInstance, TwoClientsOneAgent) {
   f.sim.Run();
   ASSERT_EQ(done, 2);
   std::vector<std::uint8_t> out0(128), out1(128);
-  f.compute_mem.Read(kHeap, out0);
-  f.compute_mem.Read(kHeap + 4096, out1);
+  f.compute().mem.Read(kHeap, out0);
+  f.compute().mem.Read(kHeap + 4096, out1);
   EXPECT_EQ(out0, d0);
   EXPECT_EQ(out1, d1);
   EXPECT_EQ(agent.ops_completed(), 2u);
 }
 
 TEST(MultiRegion, TwoRegionsOneInstance) {
-  TestFabric f;
-  sim::Machine spot_machine(f.sim, 1);
-  const auto* mr_a = f.memory_dev.RegisterMemory(kPoolBase, MiB(16));
-  const auto* mr_b = f.memory_dev.RegisterMemory(0x4000000, MiB(16));
+  Fabric f{workload::ChaosTopology()};
+  const auto* mr_a = f.memory().dev.RegisterMemory(kPoolBase, MiB(16));
+  const auto* mr_b = f.memory().dev.RegisterMemory(0x4000000, MiB(16));
 
   CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  CowbirdClient client(f.compute_dev, cc);
-  client.RegisterRegion(core::RegionInfo{1, TestFabric::kMemoryId, kPoolBase,
+  CowbirdClient client(f.compute().dev, cc);
+  client.RegisterRegion(core::RegionInfo{1, workload::kMemoryId, kPoolBase,
                                          mr_a->rkey, MiB(16)});
-  client.RegisterRegion(core::RegionInfo{2, TestFabric::kMemoryId, 0x4000000,
+  client.RegisterRegion(core::RegionInfo{2, workload::kMemoryId, 0x4000000,
                                          mr_b->rkey, MiB(16)});
 
-  spot::SpotAgent agent(f.spot_dev, spot_machine, spot::SpotAgent::Config{});
-  rdma::Device* memories[] = {&f.memory_dev};
-  auto conn = spot::ConnectSpotEngine(f.spot_dev, f.compute_dev, memories);
+  spot::SpotAgent agent(f.spot().dev, f.spot().machine,
+                        spot::SpotAgent::Config{});
+  rdma::Device* memories[] = {&f.memory().dev};
+  auto conn = spot::ConnectSpotEngine(f.spot().dev, f.compute().dev, memories);
   agent.AddInstance(client.descriptor(), conn.to_compute, conn.compute_cq,
                     conn.to_memory, conn.memory_cqs);
   agent.Start();
 
   const auto da = Pattern(100, 3);
   const auto db = Pattern(100, 4);
-  f.memory_mem.Write(kPoolBase + 64, da);
-  f.memory_mem.Write(0x4000000 + 64, db);
+  f.memory().mem.Write(kPoolBase + 64, da);
+  f.memory().mem.Write(0x4000000 + 64, db);
 
-  sim::SimThread thread(f.compute_machine, "app");
-  f.sim.Spawn([](TestFabric& ff, CowbirdClient& cl,
+  sim::SimThread thread(f.compute().machine, "app");
+  f.sim.Spawn([](Fabric& ff, CowbirdClient& cl,
                  sim::SimThread& thr) -> sim::Task<void> {
     auto a = co_await ReadVia(ff, cl, thr, 1, 64, 100, kHeap);
     auto b = co_await ReadVia(ff, cl, thr, 2, 64, 100, kHeap + 4096);
@@ -136,29 +137,28 @@ TEST(MultiRegion, TwoRegionsOneInstance) {
   f.sim.Run();
 
   std::vector<std::uint8_t> oa(100), ob(100);
-  f.compute_mem.Read(kHeap, oa);
-  f.compute_mem.Read(kHeap + 4096, ob);
+  f.compute().mem.Read(kHeap, oa);
+  f.compute().mem.Read(kHeap + 4096, ob);
   EXPECT_EQ(oa, da);
   EXPECT_EQ(ob, db);
 }
 
 TEST(AdaptiveProbe, SpotBacksOffWhenIdleAndSnapsBack) {
-  TestFabric f;
-  sim::Machine spot_machine(f.sim, 1);
-  const auto* pool_mr = f.memory_dev.RegisterMemory(kPoolBase, MiB(16));
+  Fabric f{workload::ChaosTopology()};
+  const auto* pool_mr = f.memory().dev.RegisterMemory(kPoolBase, MiB(16));
   CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  CowbirdClient client(f.compute_dev, cc);
-  client.RegisterRegion(core::RegionInfo{1, TestFabric::kMemoryId, kPoolBase,
+  CowbirdClient client(f.compute().dev, cc);
+  client.RegisterRegion(core::RegionInfo{1, workload::kMemoryId, kPoolBase,
                                          pool_mr->rkey, MiB(16)});
   spot::SpotAgent::Config ac;
   ac.adaptive_probe = true;
   ac.probe_interval = Micros(2);
   ac.probe_interval_max = Micros(64);
-  spot::SpotAgent agent(f.spot_dev, spot_machine, ac);
-  rdma::Device* memories[] = {&f.memory_dev};
-  auto conn = spot::ConnectSpotEngine(f.spot_dev, f.compute_dev, memories);
+  spot::SpotAgent agent(f.spot().dev, f.spot().machine, ac);
+  rdma::Device* memories[] = {&f.memory().dev};
+  auto conn = spot::ConnectSpotEngine(f.spot().dev, f.compute().dev, memories);
   agent.AddInstance(client.descriptor(), conn.to_compute, conn.compute_cq,
                     conn.to_memory, conn.memory_cqs);
   agent.Start();
@@ -172,8 +172,8 @@ TEST(AdaptiveProbe, SpotBacksOffWhenIdleAndSnapsBack) {
 
   // Activity: reads must still complete, and once the probe loop wakes and
   // observes the activity, the interval snaps back toward the baseline.
-  sim::SimThread thread(f.compute_machine, "app");
-  f.sim.Spawn([](TestFabric& ff, CowbirdClient& cl,
+  sim::SimThread thread(f.compute().machine, "app");
+  f.sim.Spawn([](Fabric& ff, CowbirdClient& cl,
                  sim::SimThread& thr) -> sim::Task<void> {
     for (int i = 0; i < 4; ++i) {
       (void)co_await ReadVia(ff, cl, thr, 1, i * 64, 64, kHeap);
@@ -187,21 +187,21 @@ TEST(AdaptiveProbe, SpotBacksOffWhenIdleAndSnapsBack) {
 }
 
 TEST(AdaptiveProbe, P4BacksOffWhenIdle) {
-  TestFabric f;
-  const auto* pool_mr = f.memory_dev.RegisterMemory(kPoolBase, MiB(16));
+  Fabric f{workload::ChaosTopology()};
+  const auto* pool_mr = f.memory().dev.RegisterMemory(kPoolBase, MiB(16));
   CowbirdClient::Config cc;
   cc.layout.base = 0x10000;
   cc.layout.threads = 1;
-  CowbirdClient client(f.compute_dev, cc);
-  client.RegisterRegion(core::RegionInfo{1, TestFabric::kMemoryId, kPoolBase,
+  CowbirdClient client(f.compute().dev, cc);
+  client.RegisterRegion(core::RegionInfo{1, workload::kMemoryId, kPoolBase,
                                          pool_mr->rkey, MiB(16)});
   p4::CowbirdP4Engine::Config ec;
   ec.switch_node_id = kSwitchId;
   ec.adaptive_probe = true;
   ec.probe_interval_max = Micros(64);
-  p4::CowbirdP4Engine engine(f.sw, ec);
-  auto conn = p4::ConnectP4Engine(engine, kSwitchId, f.compute_dev,
-                                  f.memory_dev, 0x800);
+  p4::CowbirdP4Engine engine(f.sw(), ec);
+  auto conn = p4::ConnectP4Engine(engine, kSwitchId, f.compute().dev,
+                                  f.memory().dev, 0x800);
   engine.AddInstance(client.descriptor(), conn);
   engine.Start();
 
@@ -210,8 +210,8 @@ TEST(AdaptiveProbe, P4BacksOffWhenIdle) {
   EXPECT_LT(idle_probes, 60u);  // ~500 at the fixed 2 us rate
 
   // A request still completes despite the ramped-down interval.
-  sim::SimThread thread(f.compute_machine, "app");
-  f.sim.Spawn([](TestFabric& ff, CowbirdClient& cl,
+  sim::SimThread thread(f.compute().machine, "app");
+  f.sim.Spawn([](Fabric& ff, CowbirdClient& cl,
                  sim::SimThread& thr) -> sim::Task<void> {
     (void)co_await ReadVia(ff, cl, thr, 1, 0, 64, kHeap);
     ff.sim.Halt();

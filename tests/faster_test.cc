@@ -4,12 +4,13 @@
 #include "faster/idevice.h"
 #include "faster/store.h"
 #include "faster/ycsb.h"
-#include "workload/testbed.h"
+#include "workload/fabric.h"
 
 namespace cowbird::faster {
 namespace {
 
-using workload::Testbed;
+using workload::Fabric;
+using workload::Section7Topology;
 
 constexpr std::uint64_t kDeviceBase = 0x3000'0000;
 constexpr std::uint64_t kDest = 0x8000'0000;
@@ -21,10 +22,10 @@ class StoreTest : public ::testing::Test {
     sc.index_buckets = 1 << 12;
     sc.memory_budget = KiB(64);
     sc.spill_page = KiB(32);
-    store = std::make_unique<FasterStore>(bed.compute_mem, sc);
-    device = std::make_unique<LocalMemoryDevice>(bed.compute_mem, kDeviceBase,
+    store = std::make_unique<FasterStore>(bed.compute().mem, sc);
+    device = std::make_unique<LocalMemoryDevice>(bed.compute().mem, kDeviceBase,
                                                  rdma::CostModel{});
-    thread = std::make_unique<sim::SimThread>(bed.compute_machine, "t");
+    thread = std::make_unique<sim::SimThread>(bed.compute().machine, "t");
   }
 
   std::vector<std::uint8_t> Value(std::uint64_t key, std::uint32_t len) {
@@ -33,7 +34,7 @@ class StoreTest : public ::testing::Test {
     return v;
   }
 
-  Testbed bed;
+  Fabric bed{Section7Topology()};
   std::unique_ptr<FasterStore> store;
   std::unique_ptr<IDevice> device;
   std::unique_ptr<sim::SimThread> thread;
@@ -49,8 +50,8 @@ TEST_F(StoreTest, UpsertThenReadInMemory) {
   }(*this, ok));
   bed.sim.Run();
   EXPECT_TRUE(ok);
-  EXPECT_EQ(bed.compute_mem.ReadValue<std::uint64_t>(kDest), 42u);
-  EXPECT_EQ(bed.compute_mem.ReadValue<std::uint64_t>(kDest + 16), 42u);
+  EXPECT_EQ(bed.compute().mem.ReadValue<std::uint64_t>(kDest), 42u);
+  EXPECT_EQ(bed.compute().mem.ReadValue<std::uint64_t>(kDest + 16), 42u);
 }
 
 TEST_F(StoreTest, MissingKeyNotFound) {
@@ -73,7 +74,7 @@ TEST_F(StoreTest, UpdateSupersedesOldValue) {
   }(*this));
   bed.sim.Run();
   std::vector<std::uint8_t> out(80);
-  bed.compute_mem.Read(kDest, out);
+  bed.compute().mem.Read(kDest, out);
   EXPECT_EQ(out[16 + 63], 0xEE);
 }
 
@@ -104,14 +105,14 @@ TEST_F(StoreTest, SpilledRecordsReadBackThroughDevice) {
   }(*this, pending_done));
   bed.sim.Run();
   EXPECT_EQ(pending_done, 1);
-  EXPECT_EQ(bed.compute_mem.ReadValue<std::uint64_t>(kDest), 0u);
+  EXPECT_EQ(bed.compute().mem.ReadValue<std::uint64_t>(kDest), 0u);
   // Value embeds the key (0) in its first 8 bytes.
-  EXPECT_EQ(bed.compute_mem.ReadValue<std::uint64_t>(kDest + 16), 0u);
+  EXPECT_EQ(bed.compute().mem.ReadValue<std::uint64_t>(kDest + 16), 0u);
 }
 
 TEST_F(StoreTest, RecordSizeRounding) {
   FasterStore::Config sc;
-  FasterStore s(bed.compute_mem, sc);
+  FasterStore s(bed.compute().mem, sc);
   EXPECT_EQ(s.RecordSize(64), 80u);
   EXPECT_EQ(s.RecordSize(8), 24u);
   EXPECT_EQ(s.RecordSize(1), 24u);  // rounded to 8

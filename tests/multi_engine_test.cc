@@ -15,16 +15,16 @@
 
 #include "common/rng.h"
 #include "core/client.h"
-#include "fabric_fixture.h"
 #include "offload/progress.h"
 #include "offload/registry.h"
 #include "spot/agent.h"
 #include "spot/setup.h"
+#include "workload/fabric.h"
 
 namespace cowbird::spot {
 namespace {
 
-using cowbird::testing::TestFabric;
+using workload::Fabric;
 using core::CowbirdClient;
 using core::RegionInfo;
 using core::ReqId;
@@ -42,15 +42,16 @@ std::vector<std::uint8_t> Pattern(std::size_t n, std::uint64_t seed) {
 
 class MultiEngineTest : public ::testing::Test {
  public:
-  MultiEngineTest() : machine_a_(f_.sim, 1), machine_b_(f_.sim, 1) {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+  MultiEngineTest() : machine_b_(f_.sim, 1) {
+    pool_mr_ = f_.memory().dev.RegisterMemory(kPoolBase, MiB(64));
 
     SpotAgent::Config config_a;
     config_a.staging_base = 0x4000'0000;
     SpotAgent::Config config_b;
     config_b.staging_base = 0x8000'0000;
-    agent_a_ = std::make_unique<SpotAgent>(f_.spot_dev, machine_a_, config_a);
-    agent_b_ = std::make_unique<SpotAgent>(f_.spot_dev, machine_b_, config_b);
+    agent_a_ =
+        std::make_unique<SpotAgent>(f_.spot().dev, f_.spot().machine, config_a);
+    agent_b_ = std::make_unique<SpotAgent>(f_.spot().dev, machine_b_, config_b);
 
     clients_.push_back(MakeClient(0x10000));
     clients_.push_back(MakeClient(0x800000));
@@ -59,7 +60,7 @@ class MultiEngineTest : public ::testing::Test {
     engine_b_ = registry_.AddEngine(BindingFor(*agent_b_, "spot-b"));
     agent_a_->Start();
     agent_b_->Start();
-    app_thread_ = std::make_unique<sim::SimThread>(f_.compute_machine, "app");
+    app_thread_ = std::make_unique<sim::SimThread>(f_.compute().machine, "app");
   }
 
   std::unique_ptr<CowbirdClient> MakeClient(std::uint64_t layout_base) {
@@ -69,8 +70,8 @@ class MultiEngineTest : public ::testing::Test {
     config.layout.meta_slots = 64;
     config.layout.data_capacity = KiB(64);
     config.layout.resp_capacity = KiB(64);
-    auto client = std::make_unique<CowbirdClient>(f_.compute_dev, config);
-    client->RegisterRegion(RegionInfo{kRegion, TestFabric::kMemoryId,
+    auto client = std::make_unique<CowbirdClient>(f_.compute().dev, config);
+    client->RegisterRegion(RegionInfo{kRegion, workload::kMemoryId,
                                       kPoolBase, pool_mr_->rkey, MiB(64)});
     return client;
   }
@@ -94,8 +95,8 @@ class MultiEngineTest : public ::testing::Test {
                                     const offload::InstanceProgress* resume) {
       CowbirdClient* client = ClientFor(instance_id);
       if (client == nullptr) return false;
-      rdma::Device* memories[] = {&f_.memory_dev};
-      auto conn = ConnectSpotEngine(f_.spot_dev, f_.compute_dev, memories);
+      rdma::Device* memories[] = {&f_.memory().dev};
+      auto conn = ConnectSpotEngine(f_.spot().dev, f_.compute().dev, memories);
       agent.AddInstance(client->descriptor(), conn.to_compute,
                         conn.compute_cq, conn.to_memory, conn.memory_cqs,
                         resume);
@@ -112,12 +113,12 @@ class MultiEngineTest : public ::testing::Test {
   // The client's published red block, per thread — the optimistic counters
   // a crash-exported snapshot must be reconciled against at attach time.
   std::vector<offload::ThreadProgress> ReadPublishedProgress(
-      const CowbirdClient& client) const {
+      const CowbirdClient& client) {
     std::vector<offload::ThreadProgress> published;
     const auto& layout = client.descriptor().layout;
     std::vector<std::uint8_t> block(core::kRedBlockBytes);
     for (int t = 0; t < layout.threads; ++t) {
-      f_.compute_mem.Read(layout.RedAddr(t), block);
+      f_.compute().mem.Read(layout.RedAddr(t), block);
       published.push_back(offload::ProgressPublisher::Unpack(block));
     }
     return published;
@@ -135,8 +136,8 @@ class MultiEngineTest : public ::testing::Test {
                                     const offload::InstanceProgress* resume) {
       CowbirdClient* client = ClientFor(instance_id);
       if (client == nullptr) return false;
-      rdma::Device* memories[] = {&f_.memory_dev};
-      auto conn = ConnectSpotEngine(f_.spot_dev, f_.compute_dev, memories);
+      rdma::Device* memories[] = {&f_.memory().dev};
+      auto conn = ConnectSpotEngine(f_.spot().dev, f_.compute().dev, memories);
       offload::InstanceProgress reconciled;
       const offload::InstanceProgress* use = resume;
       if (resume != nullptr) {
@@ -182,7 +183,7 @@ class MultiEngineTest : public ::testing::Test {
       if (!done.empty()) break;
     }
     std::vector<std::uint8_t> out(len);
-    f_.compute_mem.Read(dest, out);
+    f_.compute().mem.Read(dest, out);
     co_return out;
   }
 
@@ -202,9 +203,8 @@ class MultiEngineTest : public ::testing::Test {
     }
   }
 
-  TestFabric f_;
-  sim::Machine machine_a_;
-  sim::Machine machine_b_;
+  Fabric f_{workload::ChaosTopology()};
+  sim::Machine machine_b_;  // agent a runs on the spot host's machine
   const rdma::MemoryRegion* pool_mr_ = nullptr;
   std::unique_ptr<SpotAgent> agent_a_;
   std::unique_ptr<SpotAgent> agent_b_;
@@ -231,8 +231,8 @@ TEST_F(MultiEngineTest, DisjointShardsServedConcurrently) {
 
   const auto d0 = Pattern(256, 1);
   const auto d1 = Pattern(512, 2);
-  f_.memory_mem.Write(kPoolBase + 0x2000, d0);
-  f_.compute_mem.Write(kHeap, d1);
+  f_.memory().mem.Write(kPoolBase + 0x2000, d0);
+  f_.compute().mem.Write(kHeap, d1);
 
   int finished = 0;
   f_.sim.Spawn([](MultiEngineTest& t, const std::vector<std::uint8_t>& want,
@@ -268,7 +268,7 @@ TEST_F(MultiEngineTest, StoppedEngineMigratesInstanceToSurvivor) {
     // Phase 1: instance 0 does work through engine A.
     for (int i = 0; i < 8; ++i) {
       const auto data = Pattern(200, 100 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.compute().mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, i * 1024, 200);
       auto got = co_await t.ReadAndWait(0, i * 1024, 200, kHeap + 0x10000);
       EXPECT_EQ(got, data) << "pre-migration iteration " << i;
@@ -291,7 +291,7 @@ TEST_F(MultiEngineTest, StoppedEngineMigratesInstanceToSurvivor) {
     const auto b_ops = t.agent_b_->ops_completed();
     for (int i = 0; i < 8; ++i) {
       const auto data = Pattern(200, 200 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.compute().mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, 0x40000 + i * 1024, 200);
       auto got = co_await t.ReadAndWait(0, 0x40000 + i * 1024, 200,
                                         kHeap + 0x10000);
@@ -311,7 +311,7 @@ TEST_F(MultiEngineTest, ExplicitReassignMovesLiveInstance) {
   f_.sim.Spawn([](MultiEngineTest& t, std::uint32_t inst0)
                    -> sim::Task<void> {
     const auto data = Pattern(300, 7);
-    t.f_.compute_mem.Write(kHeap, data);
+    t.f_.compute().mem.Write(kHeap, data);
     co_await t.WriteAndWait(0, kHeap, 0x3000, 300);
 
     // Drain A before moving (lossless handoff), then Reassign.
@@ -348,7 +348,7 @@ TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
     // Durable pre-crash history: six completed writes.
     for (int i = 0; i < 6; ++i) {
       const auto data = Pattern(200, 300 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.compute().mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, i * 1024, 200);
     }
     const auto a_ops = t.agent_a_->ops_completed();
@@ -360,7 +360,7 @@ TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
     // not consumed it yet, through the survivor re-parsing the rings).
     auto& ctx = t.clients_[0]->thread(0);
     const auto inflight = Pattern(200, 399);
-    t.f_.compute_mem.Write(kHeap + 0x1000, inflight);
+    t.f_.compute().mem.Write(kHeap + 0x1000, inflight);
     std::optional<ReqId> id;
     while (!(id = co_await ctx.AsyncWrite(*t.app_thread_, kRegion,
                                           kHeap + 0x1000, 6 * 1024, 200))) {
@@ -394,7 +394,7 @@ TEST_F(MultiEngineTest, MidFlightCrashMigratesWithoutLostOrDuplicatedWork) {
     // resumed counters, so fresh traffic runs at full health.
     for (int i = 0; i < 4; ++i) {
       const auto data = Pattern(200, 500 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.compute().mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, 0x40000 + i * 1024, 200);
       auto back = co_await t.ReadAndWait(0, 0x40000 + i * 1024, 200,
                                          kHeap + 0x12000);

@@ -14,6 +14,7 @@
 #include "net/packet.h"
 #include "net/switch.h"
 #include "sim/simulation.h"
+#include "telemetry/metrics.h"
 #include "test_seed.h"
 
 namespace cowbird::net {
@@ -840,6 +841,37 @@ TEST(SwitchProcessor, InjectGeneratedEntersPipeline) {
   sw.InjectGenerated(0, TestPacket(99, 1, 64, Priority::kProbe));
   sim.Run();
   EXPECT_EQ(received, 1);
+}
+
+// A bound link or switch that dies unbinds its callback gauges: a snapshot
+// taken afterwards must not evaluate (read freed memory through) any of
+// them.
+TEST(Link, DestructionUnbindsItsTelemetry) {
+  sim::Simulation sim;
+  telemetry::MetricRegistry registry;
+  {
+    Link link(sim, BitRate::Gbps(100), 100);
+    link.BindTelemetry(registry, {{"link", "probe"}});
+    EXPECT_TRUE(registry.TakeSnapshot()
+                    .GaugeValue("link_packets_delivered{link=probe}")
+                    .has_value());
+  }
+  EXPECT_TRUE(registry.TakeSnapshot().gauges.empty());
+}
+
+TEST(Switch, DestructionUnbindsItsTelemetry) {
+  sim::Simulation sim;
+  telemetry::MetricRegistry registry;
+  {
+    Switch sw(sim, Switch::Config{});
+    sw.AddPort(BitRate::Gbps(100), 100);
+    sw.BindTelemetry(registry, {{"switch", "tor"}});
+    sw.EgressLink(0).BindTelemetry(registry, {{"link", "egress"}});
+    EXPECT_TRUE(registry.TakeSnapshot()
+                    .GaugeValue("switch_forwarded{switch=tor}")
+                    .has_value());
+  }
+  EXPECT_TRUE(registry.TakeSnapshot().gauges.empty());
 }
 
 }  // namespace

@@ -3,16 +3,16 @@
 
 #include "common/rng.h"
 #include "core/client.h"
-#include "fabric_fixture.h"
 #include "p4/control.h"
 #include "p4/engine.h"
+#include "workload/fabric.h"
 
 namespace cowbird::p4 {
 namespace {
 
 using core::CowbirdClient;
 using core::ReqId;
-using cowbird::testing::TestFabric;
+using workload::Fabric;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
@@ -78,23 +78,23 @@ TEST(ControlMessage, GarbageRejected) {
 class ControlPlaneTest : public ::testing::Test {
  public:
   ControlPlaneTest()
-      : engine_(f_.sw,
+      : engine_(f_.sw(),
                 [] {
                   CowbirdP4Engine::Config c;
                   c.switch_node_id = kSwitchId;
                   return c;
                 }()),
-        server_(engine_, f_.sw, kSwitchId),
-        rpc_(f_.compute_nic, kSwitchId) {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+        server_(engine_, f_.sw(), kSwitchId),
+        rpc_(f_.compute().nic, kSwitchId) {
+    pool_mr_ = f_.memory().dev.RegisterMemory(kPoolBase, MiB(64));
     CowbirdClient::Config cc;
     cc.layout.base = 0x10000;
     cc.layout.threads = 1;
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, cc);
+    client_ = std::make_unique<CowbirdClient>(f_.compute().dev, cc);
     client_->RegisterRegion(core::RegionInfo{
-        kRegion, TestFabric::kMemoryId, kPoolBase, pool_mr_->rkey, MiB(64)});
-    conn_ = ConnectP4Engine(engine_, kSwitchId, f_.compute_dev, f_.memory_dev,
-                            0x800);
+        kRegion, workload::kMemoryId, kPoolBase, pool_mr_->rkey, MiB(64)});
+    conn_ = ConnectP4Engine(engine_, kSwitchId, f_.compute().dev,
+                            f_.memory().dev, 0x800);
     engine_.Start();
   }
 
@@ -113,7 +113,7 @@ class ControlPlaneTest : public ::testing::Test {
     co_return false;
   }
 
-  TestFabric f_;
+  Fabric f_{workload::ChaosTopology()};
   const rdma::MemoryRegion* pool_mr_;
   CowbirdP4Engine engine_;
   ControlPlaneServer server_;
@@ -123,7 +123,7 @@ class ControlPlaneTest : public ::testing::Test {
 };
 
 TEST_F(ControlPlaneTest, SetupOverTheWireThenServe) {
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(f_.compute().machine, "app");
   bool setup_ok = false;
   bool read_ok = false;
   f_.sim.Spawn([](ControlPlaneTest& t, sim::SimThread& thr, bool& s_ok,
@@ -139,7 +139,7 @@ TEST_F(ControlPlaneTest, SetupOverTheWireThenServe) {
 }
 
 TEST_F(ControlPlaneTest, TeardownStopsService) {
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(f_.compute().machine, "app");
   bool before = false, teardown_ok = false, after = true;
   f_.sim.Spawn([](ControlPlaneTest& t, sim::SimThread& thr, bool& b,
                   bool& td, bool& a) -> sim::Task<void> {

@@ -5,13 +5,13 @@
 
 #include "common/rng.h"
 #include "core/client.h"
-#include "fabric_fixture.h"
 #include "p4/engine.h"
+#include "workload/fabric.h"
 
 namespace cowbird::p4 {
 namespace {
 
-using cowbird::testing::TestFabric;
+using workload::Fabric;
 using core::CowbirdClient;
 using core::RegionInfo;
 using core::ReqId;
@@ -31,7 +31,7 @@ std::vector<std::uint8_t> Pattern(std::size_t n, std::uint64_t seed) {
 class P4EngineTest : public ::testing::Test {
  public:
   P4EngineTest() {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+    pool_mr_ = f_.memory().dev.RegisterMemory(kPoolBase, MiB(64));
 
     CowbirdClient::Config cc;
     cc.layout.base = 0x10000;
@@ -39,19 +39,19 @@ class P4EngineTest : public ::testing::Test {
     cc.layout.meta_slots = 64;
     cc.layout.data_capacity = KiB(64);
     cc.layout.resp_capacity = KiB(64);
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, cc);
-    client_->RegisterRegion(RegionInfo{kRegion, TestFabric::kMemoryId,
+    client_ = std::make_unique<CowbirdClient>(f_.compute().dev, cc);
+    client_->RegisterRegion(RegionInfo{kRegion, workload::kMemoryId,
                                        kPoolBase, pool_mr_->rkey, MiB(64)});
 
     CowbirdP4Engine::Config ec;
     ec.switch_node_id = kSwitchId;
-    engine_ = std::make_unique<CowbirdP4Engine>(f_.sw, ec);
-    auto conn = ConnectP4Engine(*engine_, kSwitchId, f_.compute_dev,
-                                f_.memory_dev, 0x800);
+    engine_ = std::make_unique<CowbirdP4Engine>(f_.sw(), ec);
+    auto conn = ConnectP4Engine(*engine_, kSwitchId, f_.compute().dev,
+                                f_.memory().dev, 0x800);
     engine_->AddInstance(client_->descriptor(), conn);
     engine_->Start();
 
-    app_thread_ = std::make_unique<sim::SimThread>(f_.compute_machine, "app");
+    app_thread_ = std::make_unique<sim::SimThread>(f_.compute().machine, "app");
   }
 
   sim::Task<std::vector<std::uint8_t>> ReadAndWait(int t,
@@ -69,7 +69,7 @@ class P4EngineTest : public ::testing::Test {
     while ((co_await ctx.PollWait(*app_thread_, poll, 1, Millis(5))).empty()) {
     }
     std::vector<std::uint8_t> out(len);
-    f_.compute_mem.Read(dest, out);
+    f_.compute().mem.Read(dest, out);
     co_return out;
   }
 
@@ -87,7 +87,7 @@ class P4EngineTest : public ::testing::Test {
     }
   }
 
-  TestFabric f_;
+  Fabric f_{workload::ChaosTopology()};
   const rdma::MemoryRegion* pool_mr_;
   std::unique_ptr<CowbirdClient> client_;
   std::unique_ptr<CowbirdP4Engine> engine_;
@@ -96,7 +96,7 @@ class P4EngineTest : public ::testing::Test {
 
 TEST_F(P4EngineTest, ReadFetchesPoolDataWithZeroComputeCpu) {
   const auto data = Pattern(256, 1);
-  f_.memory_mem.Write(kPoolBase + 0x2000, data);
+  f_.memory().mem.Write(kPoolBase + 0x2000, data);
   std::vector<std::uint8_t> got;
   f_.sim.Spawn([](P4EngineTest& t,
                   std::vector<std::uint8_t>& out) -> sim::Task<void> {
@@ -118,21 +118,21 @@ TEST_F(P4EngineTest, ReadFetchesPoolDataWithZeroComputeCpu) {
 
 TEST_F(P4EngineTest, WriteLandsInPool) {
   const auto data = Pattern(512, 2);
-  f_.compute_mem.Write(kHeap, data);
+  f_.compute().mem.Write(kHeap, data);
   f_.sim.Spawn([](P4EngineTest& t) -> sim::Task<void> {
     co_await t.WriteAndWait(0, kHeap, 0x8000, 512);
     t.f_.sim.Halt();
   }(*this));
   f_.sim.Run();
   std::vector<std::uint8_t> out(512);
-  f_.memory_mem.Read(kPoolBase + 0x8000, out);
+  f_.memory().mem.Read(kPoolBase + 0x8000, out);
   EXPECT_EQ(out, data);
 }
 
 TEST_F(P4EngineTest, ReadAfterWriteSeesNewData) {
   const auto new_data = Pattern(128, 4);
-  f_.memory_mem.Write(kPoolBase + 0x9000, Pattern(128, 3));
-  f_.compute_mem.Write(kHeap, new_data);
+  f_.memory().mem.Write(kPoolBase + 0x9000, Pattern(128, 3));
+  f_.compute().mem.Write(kHeap, new_data);
   std::vector<std::uint8_t> got;
   f_.sim.Spawn([](P4EngineTest& t,
                   std::vector<std::uint8_t>& out) -> sim::Task<void> {
@@ -151,7 +151,7 @@ TEST_F(P4EngineTest, ReadAfterWriteSeesNewData) {
           (co_await ctx.PollWait(*t.app_thread_, poll, 2, Millis(5))).size());
     }
     out.resize(128);
-    t.f_.compute_mem.Read(kHeap + 4096, out);
+    t.f_.compute().mem.Read(kHeap + 4096, out);
     t.f_.sim.Halt();
   }(*this, got));
   f_.sim.Run();
@@ -164,8 +164,8 @@ TEST_F(P4EngineTest, PausesEvenNonOverlappingReads) {
   // check, Cowbird-P4 pauses ALL newly probed reads while a write is
   // active — even to disjoint addresses.
   const auto b = Pattern(128, 6);
-  f_.memory_mem.Write(kPoolBase + 0x20000, b);
-  f_.compute_mem.Write(kHeap, Pattern(128, 5));
+  f_.memory().mem.Write(kPoolBase + 0x20000, b);
+  f_.compute().mem.Write(kHeap, Pattern(128, 5));
   f_.sim.Spawn([](P4EngineTest& t) -> sim::Task<void> {
     auto& ctx = t.client_->thread(0);
     auto w = co_await ctx.AsyncWrite(*t.app_thread_, kRegion, kHeap, 0x9000,
@@ -186,13 +186,13 @@ TEST_F(P4EngineTest, PausesEvenNonOverlappingReads) {
   f_.sim.Run();
   EXPECT_GT(engine_->reads_paused_by_writes(), 0u);
   std::vector<std::uint8_t> out(128);
-  f_.compute_mem.Read(kHeap + 4096, out);
+  f_.compute().mem.Read(kHeap + 4096, out);
   EXPECT_EQ(out, b);
 }
 
 TEST_F(P4EngineTest, LargeTransfersSegmentAndRecycle) {
   const auto data = Pattern(5 * 1024, 9);
-  f_.compute_mem.Write(kHeap, data);
+  f_.compute().mem.Write(kHeap, data);
   std::vector<std::uint8_t> got;
   f_.sim.Spawn([](P4EngineTest& t,
                   std::vector<std::uint8_t>& out) -> sim::Task<void> {
@@ -209,8 +209,8 @@ TEST_F(P4EngineTest, LargeTransfersSegmentAndRecycle) {
 TEST_F(P4EngineTest, TwoThreadsProgressIndependently) {
   const auto d0 = Pattern(256, 7);
   const auto d1 = Pattern(256, 8);
-  f_.memory_mem.Write(kPoolBase + 0x50000, d0);
-  f_.memory_mem.Write(kPoolBase + 0x60000, d1);
+  f_.memory().mem.Write(kPoolBase + 0x50000, d0);
+  f_.memory().mem.Write(kPoolBase + 0x60000, d1);
   int finished = 0;
   for (int t = 0; t < 2; ++t) {
     f_.sim.Spawn([](P4EngineTest& test, int tid, int& count)
@@ -222,8 +222,8 @@ TEST_F(P4EngineTest, TwoThreadsProgressIndependently) {
   }
   f_.sim.Run();
   std::vector<std::uint8_t> out0(256), out1(256);
-  f_.compute_mem.Read(kHeap, out0);
-  f_.compute_mem.Read(kHeap + 4096, out1);
+  f_.compute().mem.Read(kHeap, out0);
+  f_.compute().mem.Read(kHeap + 4096, out1);
   EXPECT_EQ(out0, d0);
   EXPECT_EQ(out1, d1);
 }
@@ -236,14 +236,14 @@ TEST_F(P4EngineTest, SustainedMixedWorkload) {
       const std::uint64_t off = rng.Below(512) * 2048;
       if (rng.Bernoulli(0.4)) {
         const auto data = Pattern(len, 5000 + i);
-        t.f_.compute_mem.Write(kHeap, data);
+        t.f_.compute().mem.Write(kHeap, data);
         co_await t.WriteAndWait(0, kHeap, off, len);
         auto got = co_await t.ReadAndWait(0, off, len, kHeap + 0x100000);
         EXPECT_EQ(got, data) << "iteration " << i;
       } else {
         auto got = co_await t.ReadAndWait(0, off, len, kHeap + 0x100000);
         std::vector<std::uint8_t> expect(len);
-        t.f_.memory_mem.Read(kPoolBase + off, expect);
+        t.f_.memory().mem.Read(kPoolBase + off, expect);
         EXPECT_EQ(got, expect) << "iteration " << i;
       }
     }
@@ -257,13 +257,13 @@ TEST_F(P4EngineTest, SurvivesPacketLossViaGoBackN) {
   auto loss = [rng](const net::Packet& p) {
     return rdma::LooksLikeRdma(p) && rng->Bernoulli(0.02);
   };
-  f_.sw.EgressLink(f_.memory_nic.switch_port()).set_drop_filter(loss);
-  f_.sw.EgressLink(f_.compute_nic.switch_port()).set_drop_filter(loss);
+  f_.sw().EgressLink(f_.memory().nic.switch_port()).set_drop_filter(loss);
+  f_.sw().EgressLink(f_.compute().nic.switch_port()).set_drop_filter(loss);
 
   f_.sim.Spawn([](P4EngineTest& t) -> sim::Task<void> {
     for (int i = 0; i < 40; ++i) {
       const auto data = Pattern(300, 9000 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.compute().mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, i * 512, 300);
       auto got = co_await t.ReadAndWait(0, i * 512, 300, kHeap + 0x100000);
       EXPECT_EQ(got, data) << "iteration " << i;
@@ -290,12 +290,12 @@ TEST_F(P4EngineTest, ResourceSpecMatchesTable5Shape) {
 
 // Two instances share one switch: TDM probing must serve both.
 TEST(P4MultiInstance, TimeDivisionMultiplexing) {
-  TestFabric f;
-  const auto* pool_mr = f.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+  Fabric f{workload::ChaosTopology()};
+  const auto* pool_mr = f.memory().dev.RegisterMemory(kPoolBase, MiB(64));
 
   CowbirdP4Engine::Config ec;
   ec.switch_node_id = kSwitchId;
-  CowbirdP4Engine engine(f.sw, ec);
+  CowbirdP4Engine engine(f.sw(), ec);
 
   std::vector<std::unique_ptr<CowbirdClient>> clients;
   for (int i = 0; i < 2; ++i) {
@@ -306,20 +306,21 @@ TEST(P4MultiInstance, TimeDivisionMultiplexing) {
     cc.layout.data_capacity = KiB(64);
     cc.layout.resp_capacity = KiB(64);
     clients.push_back(
-        std::make_unique<CowbirdClient>(f.compute_dev, cc));
+        std::make_unique<CowbirdClient>(f.compute().dev, cc));
     clients.back()->RegisterRegion(RegionInfo{
-        kRegion, TestFabric::kMemoryId, kPoolBase, pool_mr->rkey, MiB(64)});
-    auto conn = ConnectP4Engine(engine, kSwitchId, f.compute_dev,
-                                f.memory_dev, 0x800 + i * 8);  // 5 QPs per instance
+        kRegion, workload::kMemoryId, kPoolBase, pool_mr->rkey, MiB(64)});
+    auto conn =
+        ConnectP4Engine(engine, kSwitchId, f.compute().dev, f.memory().dev,
+                        0x800 + i * 8);  // 5 QPs per instance
     engine.AddInstance(clients.back()->descriptor(), conn);
   }
   engine.Start();
 
-  sim::SimThread app(f.compute_machine, "app");
+  sim::SimThread app(f.compute().machine, "app");
   const auto d0 = Pattern(64, 1);
   const auto d1 = Pattern(64, 2);
-  f.memory_mem.Write(kPoolBase, d0);
-  f.memory_mem.Write(kPoolBase + 4096, d1);
+  f.memory().mem.Write(kPoolBase, d0);
+  f.memory().mem.Write(kPoolBase + 4096, d1);
 
   int finished = 0;
   for (int i = 0; i < 2; ++i) {
@@ -342,8 +343,8 @@ TEST(P4MultiInstance, TimeDivisionMultiplexing) {
   f.sim.Run();
   ASSERT_EQ(finished, 2);
   std::vector<std::uint8_t> out0(64), out1(64);
-  f.compute_mem.Read(kHeap, out0);
-  f.compute_mem.Read(kHeap + 4096, out1);
+  f.compute().mem.Read(kHeap, out0);
+  f.compute().mem.Read(kHeap + 4096, out1);
   EXPECT_EQ(out0, d0);
   EXPECT_EQ(out1, d1);
   EXPECT_EQ(engine.ops_completed(), 2u);

@@ -15,18 +15,18 @@
 #include "common/ring.h"
 #include "common/rng.h"
 #include "core/client.h"
-#include "fabric_fixture.h"
 #include "p4/engine.h"
 #include "spot/agent.h"
 #include "spot/setup.h"
 #include "test_seed.h"
+#include "workload/fabric.h"
 
 namespace cowbird {
 namespace {
 
 using core::CowbirdClient;
 using core::ReqId;
-using cowbird::testing::TestFabric;
+using workload::Fabric;
 
 constexpr std::uint64_t kPoolBase = 0x100000;
 constexpr std::uint64_t kHeap = 0x4000000;
@@ -41,25 +41,24 @@ const char* EngineName(Engine e) {
 
 // Harness that can run either engine behind the same client.
 struct EngineHarness {
-  EngineHarness(Engine engine, double loss_rate, std::uint64_t seed)
-      : spot_machine(fabric.sim, 1) {
-    pool_mr = fabric.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+  EngineHarness(Engine engine, double loss_rate, std::uint64_t seed) {
+    pool_mr = fabric.memory().dev.RegisterMemory(kPoolBase, MiB(64));
     CowbirdClient::Config cc;
     cc.layout.base = 0x10000;
     cc.layout.threads = 2;
     cc.layout.meta_slots = 128;
     cc.layout.data_capacity = KiB(128);
     cc.layout.resp_capacity = KiB(128);
-    client = std::make_unique<CowbirdClient>(fabric.compute_dev, cc);
-    client->RegisterRegion(core::RegionInfo{kRegion, TestFabric::kMemoryId,
+    client = std::make_unique<CowbirdClient>(fabric.compute().dev, cc);
+    client->RegisterRegion(core::RegionInfo{kRegion, workload::kMemoryId,
                                             kPoolBase, pool_mr->rkey,
                                             MiB(64)});
     if (engine == Engine::kSpot) {
       spot_agent = std::make_unique<spot::SpotAgent>(
-          fabric.spot_dev, spot_machine, spot::SpotAgent::Config{});
-      rdma::Device* memories[] = {&fabric.memory_dev};
-      auto conn = spot::ConnectSpotEngine(fabric.spot_dev,
-                                          fabric.compute_dev, memories);
+          fabric.spot().dev, fabric.spot().machine, spot::SpotAgent::Config{});
+      rdma::Device* memories[] = {&fabric.memory().dev};
+      auto conn = spot::ConnectSpotEngine(fabric.spot().dev,
+                                          fabric.compute().dev, memories);
       spot_agent->AddInstance(client->descriptor(), conn.to_compute,
                               conn.compute_cq, conn.to_memory,
                               conn.memory_cqs);
@@ -67,9 +66,9 @@ struct EngineHarness {
     } else {
       p4::CowbirdP4Engine::Config ec;
       ec.switch_node_id = kSwitchId;
-      p4_engine = std::make_unique<p4::CowbirdP4Engine>(fabric.sw, ec);
+      p4_engine = std::make_unique<p4::CowbirdP4Engine>(fabric.sw(), ec);
       auto conn = p4::ConnectP4Engine(*p4_engine, kSwitchId,
-                                      fabric.compute_dev, fabric.memory_dev,
+                                      fabric.compute().dev, fabric.memory().dev,
                                       0x800);
       p4_engine->AddInstance(client->descriptor(), conn);
       p4_engine->Start();
@@ -79,17 +78,16 @@ struct EngineHarness {
       auto filter = [this, loss_rate](const net::Packet& p) {
         return rdma::LooksLikeRdma(p) && loss_rng->Bernoulli(loss_rate);
       };
-      fabric.sw.EgressLink(fabric.compute_nic.switch_port())
+      fabric.sw().EgressLink(fabric.compute().nic.switch_port())
           .set_drop_filter(filter);
-      fabric.sw.EgressLink(fabric.memory_nic.switch_port())
+      fabric.sw().EgressLink(fabric.memory().nic.switch_port())
           .set_drop_filter(filter);
-      fabric.sw.EgressLink(fabric.spot_nic.switch_port())
+      fabric.sw().EgressLink(fabric.spot().nic.switch_port())
           .set_drop_filter(filter);
     }
   }
 
-  TestFabric fabric;
-  sim::Machine spot_machine;
+  Fabric fabric{workload::ChaosTopology()};
   const rdma::MemoryRegion* pool_mr = nullptr;
   std::unique_ptr<CowbirdClient> client;
   std::unique_ptr<spot::SpotAgent> spot_agent;
@@ -133,7 +131,7 @@ TEST_P(LinearizabilityTest, ReadsObserveLatestPrecedingWrite) {
                         std::vector<SlotState>& state,
                         std::uint64_t& bad,
                         std::uint64_t& checked) -> sim::Task<void> {
-    sim::SimThread thread(eh.fabric.compute_machine, "app");
+    sim::SimThread thread(eh.fabric.compute().machine, "app");
     auto& ctx = eh.client->thread(0);
     const core::PollId poll = ctx.PollCreate();
     Rng rng(wl_seed);
@@ -164,7 +162,7 @@ TEST_P(LinearizabilityTest, ReadsObserveLatestPrecedingWrite) {
         const std::uint64_t version = state[slot].version + 1;
         std::vector<std::uint8_t> payload;
         make_payload(slot, version, payload);
-        eh.fabric.compute_mem.Write(kHeap, payload);
+        eh.fabric.compute().mem.Write(kHeap, payload);
         auto id = co_await ctx.AsyncWrite(thread, kRegion, kHeap, offset,
                                           p.len);
         if (!id.has_value()) {
@@ -197,7 +195,7 @@ TEST_P(LinearizabilityTest, ReadsObserveLatestPrecedingWrite) {
                ctx.reads_retired() >= pending.front().id.seq()) {
           const PendingRead& r = pending.front();
           const auto version =
-              eh.fabric.compute_mem.ReadValue<std::uint64_t>(r.dest);
+              eh.fabric.compute().mem.ReadValue<std::uint64_t>(r.dest);
           ++checked;
           // Must be at least the version issued before the read, and not
           // beyond the latest issued (no time travel either way). Torn data
@@ -209,7 +207,7 @@ TEST_P(LinearizabilityTest, ReadsObserveLatestPrecedingWrite) {
             for (std::uint32_t b = 8; b < p.len; ++b) {
               const auto expect = static_cast<std::uint8_t>(
                   version * 37 + static_cast<std::uint64_t>(r.slot));
-              if (eh.fabric.compute_mem.ReadValue<std::uint8_t>(r.dest + b) !=
+              if (eh.fabric.compute().mem.ReadValue<std::uint8_t>(r.dest + b) !=
                   expect) {
                 filler_ok = false;
                 break;
@@ -233,7 +231,7 @@ TEST_P(LinearizabilityTest, ReadsObserveLatestPrecedingWrite) {
              ctx.reads_retired() >= pending.front().id.seq()) {
         const PendingRead& r = pending.front();
         const auto version =
-            eh.fabric.compute_mem.ReadValue<std::uint64_t>(r.dest);
+            eh.fabric.compute().mem.ReadValue<std::uint64_t>(r.dest);
         ++checked;
         if (version < r.min_version || version > state[r.slot].version) {
           ++bad;
@@ -282,12 +280,12 @@ TEST_P(TransferSizeTest, WriteThenReadRoundTrips) {
   Rng rng(len);
   std::vector<std::uint8_t> data(len);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
-  h.fabric.compute_mem.Write(kHeap, data);
+  h.fabric.compute().mem.Write(kHeap, data);
 
   bool ok = false;
   h.fabric.sim.Spawn([](EngineHarness& eh, std::uint32_t n,
                         bool& out) -> sim::Task<void> {
-    sim::SimThread thread(eh.fabric.compute_machine, "app");
+    sim::SimThread thread(eh.fabric.compute().machine, "app");
     auto& ctx = eh.client->thread(0);
     const core::PollId poll = ctx.PollCreate();
     auto w = co_await ctx.AsyncWrite(thread, kRegion, kHeap, 0x5000, n);
@@ -308,7 +306,7 @@ TEST_P(TransferSizeTest, WriteThenReadRoundTrips) {
   ASSERT_TRUE(ok);
 
   std::vector<std::uint8_t> out(len);
-  h.fabric.compute_mem.Read(kHeap + 0x100000, out);
+  h.fabric.compute().mem.Read(kHeap + 0x100000, out);
   EXPECT_EQ(out, data);
 }
 

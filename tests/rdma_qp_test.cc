@@ -1,15 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "fabric_fixture.h"
 #include "rdma/verbs.h"
+#include "telemetry/metrics.h"
+#include "workload/fabric.h"
 
 namespace cowbird::rdma {
 namespace {
 
-using cowbird::testing::TestFabric;
+using workload::Fabric;
 
 std::vector<std::uint8_t> Pattern(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -20,24 +22,24 @@ std::vector<std::uint8_t> Pattern(std::size_t n, std::uint64_t seed) {
 
 class QpTest : public ::testing::Test {
  protected:
-  QpTest() : pair_(ConnectQueuePairs(f_.compute_dev, f_.memory_dev)) {
-    remote_mr_ = f_.memory_dev.RegisterMemory(0x100000, MiB(16));
+  QpTest() : pair_(ConnectQueuePairs(f_.compute().dev, f_.memory().dev)) {
+    remote_mr_ = f_.memory().dev.RegisterMemory(0x100000, MiB(16));
   }
 
-  TestFabric f_;
+  Fabric f_{workload::ChaosTopology()};
   QpPair pair_;
   const MemoryRegion* remote_mr_;
 };
 
 TEST_F(QpTest, SmallWriteLandsInRemoteMemory) {
   const auto data = Pattern(64, 1);
-  f_.compute_mem.Write(0x5000, data);
+  f_.compute().mem.Write(0x5000, data);
   pair_.a->PostSend(SendWqe{WqeOp::kWrite, /*wr_id=*/7, /*laddr=*/0x5000,
                             remote_mr_->base + 128, remote_mr_->rkey, 64,
                             true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(64);
-  f_.memory_mem.Read(remote_mr_->base + 128, out);
+  f_.memory().mem.Read(remote_mr_->base + 128, out);
   EXPECT_EQ(out, data);
   auto cqe = pair_.a_send_cq->Pop();
   ASSERT_TRUE(cqe.has_value());
@@ -48,13 +50,13 @@ TEST_F(QpTest, SmallWriteLandsInRemoteMemory) {
 
 TEST_F(QpTest, SmallReadFetchesRemoteData) {
   const auto data = Pattern(256, 2);
-  f_.memory_mem.Write(remote_mr_->base + 4096, data);
+  f_.memory().mem.Write(remote_mr_->base + 4096, data);
   pair_.a->PostSend(SendWqe{WqeOp::kRead, 9, /*laddr=*/0x9000,
                             remote_mr_->base + 4096, remote_mr_->rkey, 256,
                             true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(256);
-  f_.compute_mem.Read(0x9000, out);
+  f_.compute().mem.Read(0x9000, out);
   EXPECT_EQ(out, data);
   auto cqe = pair_.a_send_cq->Pop();
   ASSERT_TRUE(cqe.has_value());
@@ -64,12 +66,12 @@ TEST_F(QpTest, SmallReadFetchesRemoteData) {
 TEST_F(QpTest, LargeTransfersSegmentAtMtu) {
   // 5000 bytes → 5 segments each way.
   const auto data = Pattern(5000, 3);
-  f_.compute_mem.Write(0x5000, data);
+  f_.compute().mem.Write(0x5000, data);
   pair_.a->PostSend(SendWqe{WqeOp::kWrite, 1, 0x5000, remote_mr_->base,
                             remote_mr_->rkey, 5000, true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(5000);
-  f_.memory_mem.Read(remote_mr_->base, out);
+  f_.memory().mem.Read(remote_mr_->base, out);
   EXPECT_EQ(out, data);
   // Write consumed ceil(5000/1024)=5 PSNs.
   EXPECT_EQ(pair_.a->next_psn(), 105u);  // started at 100
@@ -78,7 +80,7 @@ TEST_F(QpTest, LargeTransfersSegmentAtMtu) {
                             remote_mr_->rkey, 5000, true});
   f_.sim.Run();
   std::vector<std::uint8_t> back(5000);
-  f_.compute_mem.Read(0x20000, back);
+  f_.compute().mem.Read(0x20000, back);
   EXPECT_EQ(back, data);
   EXPECT_EQ(pair_.a->next_psn(), 110u);  // read consumed 5 response PSNs
 }
@@ -88,12 +90,12 @@ TEST_F(QpTest, ManyOutstandingOpsCompleteInOrder) {
   for (std::uint64_t i = 0; i < 32; ++i) {
     const auto data = Pattern(128, 100 + i);
     if (i % 2 == 0) {
-      f_.compute_mem.Write(0x5000 + i * 128, data);
+      f_.compute().mem.Write(0x5000 + i * 128, data);
       pair_.a->PostSend(SendWqe{WqeOp::kWrite, i, 0x5000 + i * 128,
                                 remote_mr_->base + i * 128, remote_mr_->rkey,
                                 128, true});
     } else {
-      f_.memory_mem.Write(remote_mr_->base + MiB(1) + i * 128, data);
+      f_.memory().mem.Write(remote_mr_->base + MiB(1) + i * 128, data);
       pair_.a->PostSend(SendWqe{WqeOp::kRead, i, 0x8000 + i * 128,
                                 remote_mr_->base + MiB(1) + i * 128,
                                 remote_mr_->rkey, 128, true});
@@ -110,7 +112,7 @@ TEST_F(QpTest, ManyOutstandingOpsCompleteInOrder) {
 
 TEST_F(QpTest, UnsignaledWqesProduceNoCqe) {
   const auto data = Pattern(64, 5);
-  f_.compute_mem.Write(0x5000, data);
+  f_.compute().mem.Write(0x5000, data);
   pair_.a->PostSend(SendWqe{WqeOp::kWrite, 1, 0x5000, remote_mr_->base,
                             remote_mr_->rkey, 64, /*signaled=*/false});
   pair_.a->PostSend(SendWqe{WqeOp::kWrite, 2, 0x5000, remote_mr_->base + 64,
@@ -143,7 +145,7 @@ TEST_F(QpTest, OutOfRangeAccessCompletesWithError) {
 
 TEST_F(QpTest, TwoSidedSendRecv) {
   const auto request = Pattern(2000, 6);  // 2 segments
-  f_.compute_mem.Write(0x5000, request);
+  f_.compute().mem.Write(0x5000, request);
   pair_.b->PostRecv(RecvWqe{77, 0x300000, 4096});
   pair_.a->PostSend(
       SendWqe{WqeOp::kSend, 13, 0x5000, 0, 0, 2000, true});
@@ -154,7 +156,7 @@ TEST_F(QpTest, TwoSidedSendRecv) {
   EXPECT_EQ(recv_cqe->opcode, CqeOpcode::kRecv);
   EXPECT_EQ(recv_cqe->byte_len, 2000u);
   std::vector<std::uint8_t> out(2000);
-  f_.memory_mem.Read(0x300000, out);
+  f_.memory().mem.Read(0x300000, out);
   EXPECT_EQ(out, request);
   auto send_cqe = pair_.a_send_cq->Pop();
   ASSERT_TRUE(send_cqe.has_value());
@@ -163,7 +165,7 @@ TEST_F(QpTest, TwoSidedSendRecv) {
 
 TEST_F(QpTest, SendBeforeRecvPostedRecoversViaRnr) {
   const auto request = Pattern(100, 7);
-  f_.compute_mem.Write(0x5000, request);
+  f_.compute().mem.Write(0x5000, request);
   pair_.a->PostSend(SendWqe{WqeOp::kSend, 14, 0x5000, 0, 0, 100, true});
   // Post the RECV well after the SEND has been NAKed.
   f_.sim.ScheduleAt(Micros(40), [&] {
@@ -174,7 +176,7 @@ TEST_F(QpTest, SendBeforeRecvPostedRecoversViaRnr) {
   ASSERT_TRUE(recv_cqe.has_value());
   EXPECT_EQ(recv_cqe->wr_id, 88u);
   std::vector<std::uint8_t> out(100);
-  f_.memory_mem.Read(0x300000, out);
+  f_.memory().mem.Read(0x300000, out);
   EXPECT_EQ(out, request);
   EXPECT_GT(pair_.a->retransmissions(), 0u);
 }
@@ -189,7 +191,7 @@ class QpLossTest : public QpTest {
   // nth RDMA data packet it sees.
   void DropNthTowardMemory(int n) {
     auto counter = std::make_shared<int>(0);
-    f_.sw.EgressLink(f_.memory_nic.switch_port())
+    f_.sw().EgressLink(f_.memory().nic.switch_port())
         .set_drop_filter([counter, n](const net::Packet& p) {
           if (!LooksLikeRdma(p)) return false;
           return ++*counter == n;
@@ -197,7 +199,7 @@ class QpLossTest : public QpTest {
   }
   void DropNthTowardCompute(int n) {
     auto counter = std::make_shared<int>(0);
-    f_.sw.EgressLink(f_.compute_nic.switch_port())
+    f_.sw().EgressLink(f_.compute().nic.switch_port())
         .set_drop_filter([counter, n](const net::Packet& p) {
           if (!LooksLikeRdma(p)) return false;
           return ++*counter == n;
@@ -207,13 +209,13 @@ class QpLossTest : public QpTest {
 
 TEST_F(QpLossTest, WriteRecoversFromLostDataPacket) {
   const auto data = Pattern(4000, 8);
-  f_.compute_mem.Write(0x5000, data);
+  f_.compute().mem.Write(0x5000, data);
   DropNthTowardMemory(2);  // lose WRITE_MIDDLE
   pair_.a->PostSend(SendWqe{WqeOp::kWrite, 1, 0x5000, remote_mr_->base,
                             remote_mr_->rkey, 4000, true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(4000);
-  f_.memory_mem.Read(remote_mr_->base, out);
+  f_.memory().mem.Read(remote_mr_->base, out);
   EXPECT_EQ(out, data);
   EXPECT_TRUE(pair_.a_send_cq->Pop().has_value());
   EXPECT_GT(pair_.a->retransmissions(), 0u);
@@ -221,39 +223,39 @@ TEST_F(QpLossTest, WriteRecoversFromLostDataPacket) {
 
 TEST_F(QpLossTest, WriteRecoversFromLostAck) {
   const auto data = Pattern(512, 9);
-  f_.compute_mem.Write(0x5000, data);
+  f_.compute().mem.Write(0x5000, data);
   DropNthTowardCompute(1);  // the ACK
   pair_.a->PostSend(SendWqe{WqeOp::kWrite, 1, 0x5000, remote_mr_->base,
                             remote_mr_->rkey, 512, true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(512);
-  f_.memory_mem.Read(remote_mr_->base, out);
+  f_.memory().mem.Read(remote_mr_->base, out);
   EXPECT_EQ(out, data);
   EXPECT_TRUE(pair_.a_send_cq->Pop().has_value());
 }
 
 TEST_F(QpLossTest, ReadRecoversFromLostRequest) {
   const auto data = Pattern(256, 10);
-  f_.memory_mem.Write(remote_mr_->base, data);
+  f_.memory().mem.Write(remote_mr_->base, data);
   DropNthTowardMemory(1);  // the READ_REQUEST itself
   pair_.a->PostSend(SendWqe{WqeOp::kRead, 1, 0x9000, remote_mr_->base,
                             remote_mr_->rkey, 256, true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(256);
-  f_.compute_mem.Read(0x9000, out);
+  f_.compute().mem.Read(0x9000, out);
   EXPECT_EQ(out, data);
 }
 
 TEST_F(QpLossTest, ReadRecoversFromLostMiddleResponse) {
   const auto data = Pattern(3 * kPathMtu, 11);
-  f_.memory_mem.Write(remote_mr_->base, data);
+  f_.memory().mem.Write(remote_mr_->base, data);
   DropNthTowardCompute(2);  // READ_RESP_MIDDLE
   pair_.a->PostSend(
       SendWqe{WqeOp::kRead, 1, 0x9000, remote_mr_->base, remote_mr_->rkey,
               static_cast<std::uint32_t>(3 * kPathMtu), true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(3 * kPathMtu);
-  f_.compute_mem.Read(0x9000, out);
+  f_.compute().mem.Read(0x9000, out);
   EXPECT_EQ(out, data);
   EXPECT_GT(pair_.a->retransmissions(), 0u);
 }
@@ -265,19 +267,19 @@ TEST_F(QpLossTest, RandomLossManyOpsAllComplete) {
   auto loss = [rng](const net::Packet& p) {
     return LooksLikeRdma(p) && rng->Bernoulli(0.05);
   };
-  f_.sw.EgressLink(f_.memory_nic.switch_port()).set_drop_filter(loss);
-  f_.sw.EgressLink(f_.compute_nic.switch_port()).set_drop_filter(loss);
+  f_.sw().EgressLink(f_.memory().nic.switch_port()).set_drop_filter(loss);
+  f_.sw().EgressLink(f_.compute().nic.switch_port()).set_drop_filter(loss);
 
   std::vector<std::vector<std::uint8_t>> blobs;
   for (std::uint64_t i = 0; i < 100; ++i) {
     blobs.push_back(Pattern(777, 1000 + i));
     if (i % 2 == 0) {
-      f_.compute_mem.Write(0x40000 + i * 1024, blobs.back());
+      f_.compute().mem.Write(0x40000 + i * 1024, blobs.back());
       pair_.a->PostSend(SendWqe{WqeOp::kWrite, i, 0x40000 + i * 1024,
                                 remote_mr_->base + i * 1024,
                                 remote_mr_->rkey, 777, true});
     } else {
-      f_.memory_mem.Write(remote_mr_->base + MiB(4) + i * 1024,
+      f_.memory().mem.Write(remote_mr_->base + MiB(4) + i * 1024,
                           blobs.back());
       pair_.a->PostSend(SendWqe{WqeOp::kRead, i, 0x80000 + i * 1024,
                                 remote_mr_->base + MiB(4) + i * 1024,
@@ -294,9 +296,9 @@ TEST_F(QpLossTest, RandomLossManyOpsAllComplete) {
   for (std::uint64_t i = 0; i < 100; ++i) {
     std::vector<std::uint8_t> out(777);
     if (i % 2 == 0) {
-      f_.memory_mem.Read(remote_mr_->base + i * 1024, out);
+      f_.memory().mem.Read(remote_mr_->base + i * 1024, out);
     } else {
-      f_.compute_mem.Read(0x80000 + i * 1024, out);
+      f_.compute().mem.Read(0x80000 + i * 1024, out);
     }
     EXPECT_EQ(out, blobs[i]) << "op " << i;
   }
@@ -317,10 +319,10 @@ class QpFaultTest : public QpTest {
     });
   }
   net::Link& TowardMemory() {
-    return f_.sw.EgressLink(f_.memory_nic.switch_port());
+    return f_.sw().EgressLink(f_.memory().nic.switch_port());
   }
   net::Link& TowardCompute() {
-    return f_.sw.EgressLink(f_.compute_nic.switch_port());
+    return f_.sw().EgressLink(f_.compute().nic.switch_port());
   }
   // Long enough for later arrivals to overtake the held packet (several
   // serialization times plus propagation), matching the chaos plan default.
@@ -329,7 +331,7 @@ class QpFaultTest : public QpTest {
 
 TEST_F(QpFaultTest, WriteSurvivesDuplicatedAck) {
   const auto data = Pattern(512, 20);
-  f_.compute_mem.Write(0x5000, data);
+  f_.compute().mem.Write(0x5000, data);
   // Packet 1 toward compute is the ACK; deliver it three times. The extra
   // copies no longer cover any inflight entry and must be ignored.
   FaultNth(TowardCompute(), 1, net::FaultAction{.duplicate = 2});
@@ -337,7 +339,7 @@ TEST_F(QpFaultTest, WriteSurvivesDuplicatedAck) {
                             remote_mr_->rkey, 512, true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(512);
-  f_.memory_mem.Read(remote_mr_->base, out);
+  f_.memory().mem.Read(remote_mr_->base, out);
   EXPECT_EQ(out, data);
   auto cqe = pair_.a_send_cq->Pop();
   ASSERT_TRUE(cqe.has_value());
@@ -350,7 +352,7 @@ TEST_F(QpFaultTest, WriteSurvivesDuplicatedAck) {
 
 TEST_F(QpFaultTest, DuplicatedWriteDataIsNotReapplied) {
   const auto data = Pattern(3 * kPathMtu, 21);
-  f_.compute_mem.Write(0x5000, data);
+  f_.compute().mem.Write(0x5000, data);
   // Duplicate WRITE_FIRST toward memory: the copy arrives with psn < epsn,
   // so the responder re-ACKs it without touching memory. The stale ACK the
   // duplicate provokes must in turn be ignored by the requester.
@@ -360,7 +362,7 @@ TEST_F(QpFaultTest, DuplicatedWriteDataIsNotReapplied) {
               static_cast<std::uint32_t>(3 * kPathMtu), true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(3 * kPathMtu);
-  f_.memory_mem.Read(remote_mr_->base, out);
+  f_.memory().mem.Read(remote_mr_->base, out);
   EXPECT_EQ(out, data);
   auto cqe = pair_.a_send_cq->Pop();
   ASSERT_TRUE(cqe.has_value());
@@ -371,7 +373,7 @@ TEST_F(QpFaultTest, DuplicatedWriteDataIsNotReapplied) {
 
 TEST_F(QpFaultTest, ReadSurvivesDuplicatedResponse) {
   const auto data = Pattern(3 * kPathMtu, 22);
-  f_.memory_mem.Write(remote_mr_->base, data);
+  f_.memory().mem.Write(remote_mr_->base, data);
   // Duplicate READ_RESP_MIDDLE toward compute: the copy's PSN is behind the
   // requester's expected response PSN and is discarded.
   FaultNth(TowardCompute(), 2, net::FaultAction{.duplicate = 1});
@@ -380,7 +382,7 @@ TEST_F(QpFaultTest, ReadSurvivesDuplicatedResponse) {
               static_cast<std::uint32_t>(3 * kPathMtu), true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(3 * kPathMtu);
-  f_.compute_mem.Read(0x9000, out);
+  f_.compute().mem.Read(0x9000, out);
   EXPECT_EQ(out, data);
   auto cqe = pair_.a_send_cq->Pop();
   ASSERT_TRUE(cqe.has_value());
@@ -395,8 +397,8 @@ TEST_F(QpFaultTest, WriteSurvivesReorderedAcks) {
   // writes; the late stale ACK must then be ignored.
   const auto a = Pattern(256, 23);
   const auto b = Pattern(256, 24);
-  f_.compute_mem.Write(0x5000, a);
-  f_.compute_mem.Write(0x5100, b);
+  f_.compute().mem.Write(0x5000, a);
+  f_.compute().mem.Write(0x5100, b);
   FaultNth(TowardCompute(), 1,
            net::FaultAction{.delay = kReorderHold, .reorder = true});
   pair_.a->PostSend(SendWqe{WqeOp::kWrite, 1, 0x5000, remote_mr_->base,
@@ -405,9 +407,9 @@ TEST_F(QpFaultTest, WriteSurvivesReorderedAcks) {
                             remote_mr_->rkey, 256, true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(256);
-  f_.memory_mem.Read(remote_mr_->base, out);
+  f_.memory().mem.Read(remote_mr_->base, out);
   EXPECT_EQ(out, a);
-  f_.memory_mem.Read(remote_mr_->base + 256, out);
+  f_.memory().mem.Read(remote_mr_->base + 256, out);
   EXPECT_EQ(out, b);
   // Both CQEs, in post order, exactly once.
   auto cqe = pair_.a_send_cq->Pop();
@@ -422,7 +424,7 @@ TEST_F(QpFaultTest, WriteSurvivesReorderedAcks) {
 
 TEST_F(QpFaultTest, ReadSurvivesReorderedResponses) {
   const auto data = Pattern(3 * kPathMtu, 25);
-  f_.memory_mem.Write(remote_mr_->base, data);
+  f_.memory().mem.Write(remote_mr_->base, data);
   // Hold READ_RESP_FIRST so later response segments arrive ahead of it. The
   // requester sees a PSN gap, discards the out-of-order segments, and the
   // retransmit timer re-issues the read — Go-Back-N, not reassembly.
@@ -433,7 +435,7 @@ TEST_F(QpFaultTest, ReadSurvivesReorderedResponses) {
               static_cast<std::uint32_t>(3 * kPathMtu), true});
   f_.sim.Run();
   std::vector<std::uint8_t> out(3 * kPathMtu);
-  f_.compute_mem.Read(0x9000, out);
+  f_.compute().mem.Read(0x9000, out);
   EXPECT_EQ(out, data);
   auto cqe = pair_.a_send_cq->Pop();
   ASSERT_TRUE(cqe.has_value());
@@ -467,12 +469,12 @@ TEST_F(QpFaultTest, RandomDupReorderLossManyOpsAllComplete) {
   for (std::uint64_t i = 0; i < 100; ++i) {
     blobs.push_back(Pattern(777, 2000 + i));
     if (i % 2 == 0) {
-      f_.compute_mem.Write(0x40000 + i * 1024, blobs.back());
+      f_.compute().mem.Write(0x40000 + i * 1024, blobs.back());
       pair_.a->PostSend(SendWqe{WqeOp::kWrite, i, 0x40000 + i * 1024,
                                 remote_mr_->base + i * 1024,
                                 remote_mr_->rkey, 777, true});
     } else {
-      f_.memory_mem.Write(remote_mr_->base + MiB(4) + i * 1024,
+      f_.memory().mem.Write(remote_mr_->base + MiB(4) + i * 1024,
                           blobs.back());
       pair_.a->PostSend(SendWqe{WqeOp::kRead, i, 0x80000 + i * 1024,
                                 remote_mr_->base + MiB(4) + i * 1024,
@@ -490,9 +492,9 @@ TEST_F(QpFaultTest, RandomDupReorderLossManyOpsAllComplete) {
   for (std::uint64_t i = 0; i < 100; ++i) {
     std::vector<std::uint8_t> out(777);
     if (i % 2 == 0) {
-      f_.memory_mem.Read(remote_mr_->base + i * 1024, out);
+      f_.memory().mem.Read(remote_mr_->base + i * 1024, out);
     } else {
-      f_.compute_mem.Read(0x80000 + i * 1024, out);
+      f_.compute().mem.Read(0x80000 + i * 1024, out);
     }
     EXPECT_EQ(out, blobs[i]) << "op " << i;
   }
@@ -513,9 +515,9 @@ TEST_F(QpFaultTest, RandomDupReorderLossManyOpsAllComplete) {
 
 TEST_F(QpTest, VerbWrappersChargeCommunicationTime) {
   CostModel costs;
-  sim::SimThread thread(f_.compute_machine, "app");
+  sim::SimThread thread(f_.compute().machine, "app");
   const auto data = Pattern(64, 12);
-  f_.memory_mem.Write(remote_mr_->base, data);
+  f_.memory().mem.Write(remote_mr_->base, data);
 
   bool done = false;
   f_.sim.Spawn([](QueuePair& qp, CompletionQueue& cq, const MemoryRegion* mr,
@@ -537,28 +539,45 @@ TEST_F(QpTest, VerbWrappersChargeCommunicationTime) {
 }
 
 TEST(RegisterMemory, MapsTheWholeRegion) {
-  TestFabric f;
+  Fabric f{workload::ChaosTopology()};
   constexpr std::uint64_t kBase = 0x7000'0000 + 100;  // unaligned on purpose
   constexpr Bytes kLen = MiB(5) + 300;
-  ASSERT_EQ(f.memory_mem.ResidentPages(), 0u);
-  const MemoryRegion* mr = f.memory_dev.RegisterMemory(kBase, kLen);
+  ASSERT_EQ(f.memory().mem.ResidentPages(), 0u);
+  const MemoryRegion* mr = f.memory().dev.RegisterMemory(kBase, kLen);
   ASSERT_NE(mr, nullptr);
   // The page-aligned hull of the MR, nothing more.
   const std::uint64_t first = kBase / SparseMemory::kPageSize;
   const std::uint64_t last = (kBase + kLen - 1) / SparseMemory::kPageSize;
-  EXPECT_EQ(f.memory_mem.ResidentPages(), last - first + 1);
+  EXPECT_EQ(f.memory().mem.ResidentPages(), last - first + 1);
   // Writes anywhere inside the MR map nothing new.
-  const std::size_t extents = f.memory_mem.Extents();
-  const std::size_t pages = f.memory_mem.ResidentPages();
+  const std::size_t extents = f.memory().mem.Extents();
+  const std::size_t pages = f.memory().mem.ResidentPages();
   Rng rng(5);
   const std::vector<std::uint8_t> data(64, 0xC3);
-  f.memory_mem.Write(kBase, data);
-  f.memory_mem.Write(kBase + kLen - data.size(), data);
+  f.memory().mem.Write(kBase, data);
+  f.memory().mem.Write(kBase + kLen - data.size(), data);
   for (int i = 0; i < 200; ++i) {
-    f.memory_mem.Write(kBase + rng.Below(kLen - data.size() + 1), data);
+    f.memory().mem.Write(kBase + rng.Below(kLen - data.size() + 1), data);
   }
-  EXPECT_EQ(f.memory_mem.Extents(), extents);
-  EXPECT_EQ(f.memory_mem.ResidentPages(), pages);
+  EXPECT_EQ(f.memory().mem.Extents(), extents);
+  EXPECT_EQ(f.memory().mem.ResidentPages(), pages);
+}
+
+// A bound device that dies unbinds its gauges, its congestion manager's
+// included: a later snapshot must not evaluate any of them.
+TEST(DeviceTelemetry, DestructionUnbindsItsGauges) {
+  telemetry::MetricRegistry registry;
+  NicConfig nic_config;
+  nic_config.dcqcn.enabled = true;
+  auto f = std::make_unique<Fabric>(workload::ChaosTopology(),
+                                    workload::DefaultSwitchConfig(),
+                                    nic_config);
+  f->compute().dev.BindTelemetry(registry, {{"node", "compute"}});
+  const telemetry::Snapshot bound = registry.TakeSnapshot();
+  EXPECT_TRUE(bound.GaugeValue("nic_packets_sent{node=compute}").has_value());
+  EXPECT_GT(bound.gauges.size(), 3u);  // DCQCN gauges too
+  f.reset();
+  EXPECT_TRUE(registry.TakeSnapshot().gauges.empty());
 }
 
 }  // namespace

@@ -7,14 +7,14 @@
 
 #include "common/rng.h"
 #include "core/client.h"
-#include "fabric_fixture.h"
 #include "spot/agent.h"
 #include "spot/setup.h"
+#include "workload/fabric.h"
 
 namespace cowbird::spot {
 namespace {
 
-using cowbird::testing::TestFabric;
+using workload::Fabric;
 using core::CowbirdClient;
 using core::RegionInfo;
 using core::ReqId;
@@ -34,9 +34,8 @@ std::vector<std::uint8_t> Pattern(std::size_t n, std::uint64_t seed) {
 class SpotEngineTest : public ::testing::Test {
  public:
   explicit SpotEngineTest(SpotAgent::Config agent_config = {},
-                          int client_threads = 2)
-      : spot_machine_(f_.sim, 1) {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+                          int client_threads = 2) {
+    pool_mr_ = f_.memory().dev.RegisterMemory(kPoolBase, MiB(64));
 
     CowbirdClient::Config client_config;
     client_config.layout.base = 0x10000;
@@ -44,18 +43,18 @@ class SpotEngineTest : public ::testing::Test {
     client_config.layout.meta_slots = 64;
     client_config.layout.data_capacity = KiB(64);
     client_config.layout.resp_capacity = KiB(64);
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, client_config);
-    client_->RegisterRegion(RegionInfo{kRegion, TestFabric::kMemoryId,
+    client_ = std::make_unique<CowbirdClient>(f_.compute().dev, client_config);
+    client_->RegisterRegion(RegionInfo{kRegion, workload::kMemoryId,
                                        kPoolBase, pool_mr_->rkey, MiB(64)});
 
-    agent_ = std::make_unique<SpotAgent>(f_.spot_dev, spot_machine_,
+    agent_ = std::make_unique<SpotAgent>(f_.spot().dev, f_.spot().machine,
                                          agent_config);
-    rdma::Device* memories[] = {&f_.memory_dev};
-    auto conn = ConnectSpotEngine(f_.spot_dev, f_.compute_dev, memories);
+    rdma::Device* memories[] = {&f_.memory().dev};
+    auto conn = ConnectSpotEngine(f_.spot().dev, f_.compute().dev, memories);
     agent_->AddInstance(client_->descriptor(), conn.to_compute,
                         conn.compute_cq, conn.to_memory, conn.memory_cqs);
     agent_->Start();
-    app_thread_ = std::make_unique<sim::SimThread>(f_.compute_machine, "app");
+    app_thread_ = std::make_unique<sim::SimThread>(f_.compute().machine, "app");
   }
 
   // Issues an async read and waits for its completion; returns the bytes.
@@ -76,7 +75,7 @@ class SpotEngineTest : public ::testing::Test {
       if (!done.empty()) break;
     }
     std::vector<std::uint8_t> out(len);
-    f_.compute_mem.Read(dest, out);
+    f_.compute().mem.Read(dest, out);
     co_return out;
   }
 
@@ -97,8 +96,7 @@ class SpotEngineTest : public ::testing::Test {
     co_return *id;
   }
 
-  TestFabric f_;
-  sim::Machine spot_machine_;
+  Fabric f_{workload::ChaosTopology()};
   const rdma::MemoryRegion* pool_mr_;
   std::unique_ptr<CowbirdClient> client_;
   std::unique_ptr<SpotAgent> agent_;
@@ -107,7 +105,7 @@ class SpotEngineTest : public ::testing::Test {
 
 TEST_F(SpotEngineTest, ReadFetchesPoolData) {
   const auto data = Pattern(256, 1);
-  f_.memory_mem.Write(kPoolBase + 0x2000, data);
+  f_.memory().mem.Write(kPoolBase + 0x2000, data);
   std::vector<std::uint8_t> got;
   f_.sim.Spawn([](SpotEngineTest& t, std::vector<std::uint8_t>& out)
                    -> sim::Task<void> {
@@ -122,14 +120,14 @@ TEST_F(SpotEngineTest, ReadFetchesPoolData) {
 
 TEST_F(SpotEngineTest, WriteLandsInPool) {
   const auto data = Pattern(512, 2);
-  f_.compute_mem.Write(kHeap, data);
+  f_.compute().mem.Write(kHeap, data);
   f_.sim.Spawn([](SpotEngineTest& t) -> sim::Task<void> {
     co_await t.WriteAndWait(0, kHeap, 0x8000, 512);
     t.f_.sim.Halt();
   }(*this));
   f_.sim.Run();
   std::vector<std::uint8_t> out(512);
-  f_.memory_mem.Read(kPoolBase + 0x8000, out);
+  f_.memory().mem.Read(kPoolBase + 0x8000, out);
   EXPECT_EQ(out, data);
 }
 
@@ -138,8 +136,8 @@ TEST_F(SpotEngineTest, ReadAfterWriteSeesNewData) {
   // overlapping range must return the written data.
   const auto old_data = Pattern(128, 3);
   const auto new_data = Pattern(128, 4);
-  f_.memory_mem.Write(kPoolBase + 0x9000, old_data);
-  f_.compute_mem.Write(kHeap, new_data);
+  f_.memory().mem.Write(kPoolBase + 0x9000, old_data);
+  f_.compute().mem.Write(kHeap, new_data);
   std::vector<std::uint8_t> got;
   f_.sim.Spawn([](SpotEngineTest& t, const std::vector<std::uint8_t>& nd,
                   std::vector<std::uint8_t>& out) -> sim::Task<void> {
@@ -161,7 +159,7 @@ TEST_F(SpotEngineTest, ReadAfterWriteSeesNewData) {
       done += static_cast<int>(completed.size());
     }
     out.resize(128);
-    t.f_.compute_mem.Read(kHeap + 4096, out);
+    t.f_.compute().mem.Read(kHeap + 4096, out);
     (void)nd;
     t.f_.sim.Halt();
   }(*this, new_data, got));
@@ -173,8 +171,8 @@ TEST_F(SpotEngineTest, ReadAfterWriteSeesNewData) {
 TEST_F(SpotEngineTest, NonOverlappingReadIsNotStalledByWrite) {
   const auto a = Pattern(128, 5);
   const auto b = Pattern(128, 6);
-  f_.memory_mem.Write(kPoolBase + 0x20000, b);
-  f_.compute_mem.Write(kHeap, a);
+  f_.memory().mem.Write(kPoolBase + 0x20000, b);
+  f_.compute().mem.Write(kHeap, a);
   f_.sim.Spawn([](SpotEngineTest& t) -> sim::Task<void> {
     auto& ctx = t.client_->thread(0);
     auto w = co_await ctx.AsyncWrite(*t.app_thread_, kRegion, kHeap, 0x9000,
@@ -196,7 +194,7 @@ TEST_F(SpotEngineTest, NonOverlappingReadIsNotStalledByWrite) {
   f_.sim.Run();
   EXPECT_EQ(agent_->reads_stalled_by_writes(), 0u);
   std::vector<std::uint8_t> out(128);
-  f_.compute_mem.Read(kHeap + 4096, out);
+  f_.compute().mem.Read(kHeap + 4096, out);
   EXPECT_EQ(out, b);
 }
 
@@ -204,7 +202,7 @@ TEST_F(SpotEngineTest, ManyReadsAreBatched) {
   // 64 consecutive 64-byte reads from one thread: with batch_size 16 the
   // agent should deliver them in far fewer than 64 RDMA writes.
   for (int i = 0; i < 64; ++i) {
-    f_.memory_mem.Write(kPoolBase + 0x40000 + i * 64, Pattern(64, 100 + i));
+    f_.memory().mem.Write(kPoolBase + 0x40000 + i * 64, Pattern(64, 100 + i));
   }
   f_.sim.Spawn([](SpotEngineTest& t) -> sim::Task<void> {
     auto& ctx = t.client_->thread(0);
@@ -230,7 +228,7 @@ TEST_F(SpotEngineTest, ManyReadsAreBatched) {
   f_.sim.Run();
   for (int i = 0; i < 64; ++i) {
     std::vector<std::uint8_t> out(64);
-    f_.compute_mem.Read(kHeap + i * 64, out);
+    f_.compute().mem.Read(kHeap + i * 64, out);
     EXPECT_EQ(out, Pattern(64, 100 + i)) << "read " << i;
   }
   EXPECT_LT(agent_->batches_flushed(), 24u);
@@ -240,8 +238,8 @@ TEST_F(SpotEngineTest, ManyReadsAreBatched) {
 TEST_F(SpotEngineTest, TwoThreadsProgressIndependently) {
   const auto d0 = Pattern(256, 7);
   const auto d1 = Pattern(256, 8);
-  f_.memory_mem.Write(kPoolBase + 0x50000, d0);
-  f_.memory_mem.Write(kPoolBase + 0x60000, d1);
+  f_.memory().mem.Write(kPoolBase + 0x50000, d0);
+  f_.memory().mem.Write(kPoolBase + 0x60000, d1);
   int finished = 0;
   for (int t = 0; t < 2; ++t) {
     f_.sim.Spawn([](SpotEngineTest& test, int tid, int& count)
@@ -254,15 +252,15 @@ TEST_F(SpotEngineTest, TwoThreadsProgressIndependently) {
   }
   f_.sim.Run();
   std::vector<std::uint8_t> out0(256), out1(256);
-  f_.compute_mem.Read(kHeap, out0);
-  f_.compute_mem.Read(kHeap + 4096, out1);
+  f_.compute().mem.Read(kHeap, out0);
+  f_.compute().mem.Read(kHeap + 4096, out1);
   EXPECT_EQ(out0, d0);
   EXPECT_EQ(out1, d1);
 }
 
 TEST_F(SpotEngineTest, LargeTransfersSpanningMtu) {
   const auto data = Pattern(5 * 1024, 9);
-  f_.compute_mem.Write(kHeap, data);
+  f_.compute().mem.Write(kHeap, data);
   std::vector<std::uint8_t> got;
   f_.sim.Spawn([](SpotEngineTest& t, std::vector<std::uint8_t>& out)
                    -> sim::Task<void> {
@@ -285,14 +283,14 @@ TEST_F(SpotEngineTest, SustainedMixedWorkloadWithRingWraps) {
       const std::uint64_t off = rng.Below(1024) * 2048;
       if (rng.Bernoulli(0.5)) {
         const auto data = Pattern(len, 5000 + i);
-        t.f_.compute_mem.Write(kHeap, data);
+        t.f_.compute().mem.Write(kHeap, data);
         co_await t.WriteAndWait(0, kHeap, off, len);
         auto got = co_await t.ReadAndWait(0, off, len, kHeap + 0x100000);
         EXPECT_EQ(got, data) << "iteration " << i;
       } else {
         auto got = co_await t.ReadAndWait(0, off, len, kHeap + 0x100000);
         std::vector<std::uint8_t> expect(len);
-        t.f_.memory_mem.Read(kPoolBase + off, expect);
+        t.f_.memory().mem.Read(kPoolBase + off, expect);
         EXPECT_EQ(got, expect) << "iteration " << i;
       }
     }
@@ -308,14 +306,14 @@ TEST_F(SpotEngineTest, SurvivesPacketLoss) {
   auto loss = [rng](const net::Packet& p) {
     return rdma::LooksLikeRdma(p) && rng->Bernoulli(0.02);
   };
-  f_.sw.EgressLink(f_.memory_nic.switch_port()).set_drop_filter(loss);
-  f_.sw.EgressLink(f_.compute_nic.switch_port()).set_drop_filter(loss);
-  f_.sw.EgressLink(f_.spot_nic.switch_port()).set_drop_filter(loss);
+  f_.sw().EgressLink(f_.memory().nic.switch_port()).set_drop_filter(loss);
+  f_.sw().EgressLink(f_.compute().nic.switch_port()).set_drop_filter(loss);
+  f_.sw().EgressLink(f_.spot().nic.switch_port()).set_drop_filter(loss);
 
   f_.sim.Spawn([](SpotEngineTest& t) -> sim::Task<void> {
     for (int i = 0; i < 50; ++i) {
       const auto data = Pattern(300, 9000 + i);
-      t.f_.compute_mem.Write(kHeap, data);
+      t.f_.compute().mem.Write(kHeap, data);
       co_await t.WriteAndWait(0, kHeap, i * 512, 300);
       auto got = co_await t.ReadAndWait(0, i * 512, 300, kHeap + 0x100000);
       EXPECT_EQ(got, data) << "iteration " << i;
@@ -339,7 +337,7 @@ class SpotEngineNoBatchTest : public SpotEngineTest {
 
 TEST_F(SpotEngineNoBatchTest, EveryReadFlushedIndividually) {
   for (int i = 0; i < 16; ++i) {
-    f_.memory_mem.Write(kPoolBase + 0x40000 + i * 64, Pattern(64, 200 + i));
+    f_.memory().mem.Write(kPoolBase + 0x40000 + i * 64, Pattern(64, 200 + i));
   }
   f_.sim.Spawn([](SpotEngineTest& t) -> sim::Task<void> {
     auto& ctx = t.client_->thread(0);
@@ -362,7 +360,7 @@ TEST_F(SpotEngineNoBatchTest, EveryReadFlushedIndividually) {
   EXPECT_EQ(agent_->batches_flushed(), 16u);
   for (int i = 0; i < 16; ++i) {
     std::vector<std::uint8_t> out(64);
-    f_.compute_mem.Read(kHeap + i * 64, out);
+    f_.compute().mem.Read(kHeap + i * 64, out);
     EXPECT_EQ(out, Pattern(64, 200 + i));
   }
 }

@@ -11,16 +11,16 @@
 
 #include "common/rng.h"
 #include "core/client.h"
-#include "fabric_fixture.h"
 #include "p4/engine.h"
 #include "spot/agent.h"
 #include "spot/setup.h"
 #include "telemetry/hub.h"
+#include "workload/fabric.h"
 
 namespace cowbird::telemetry {
 namespace {
 
-using cowbird::testing::TestFabric;
+using workload::Fabric;
 using core::CowbirdClient;
 using core::RegionInfo;
 using core::ReqId;
@@ -48,7 +48,7 @@ struct OpTiming {
 class BreakdownTestBase : public ::testing::Test {
  public:
   BreakdownTestBase() : hub_([this] { return f_.sim.Now(); }) {
-    pool_mr_ = f_.memory_dev.RegisterMemory(kPoolBase, MiB(64));
+    pool_mr_ = f_.memory().dev.RegisterMemory(kPoolBase, MiB(64));
 
     CowbirdClient::Config cc;
     cc.layout.base = 0x10000;
@@ -57,10 +57,10 @@ class BreakdownTestBase : public ::testing::Test {
     cc.layout.data_capacity = KiB(64);
     cc.layout.resp_capacity = KiB(64);
     cc.telemetry = &hub_;
-    client_ = std::make_unique<CowbirdClient>(f_.compute_dev, cc);
-    client_->RegisterRegion(RegionInfo{kRegion, TestFabric::kMemoryId,
+    client_ = std::make_unique<CowbirdClient>(f_.compute().dev, cc);
+    client_->RegisterRegion(RegionInfo{kRegion, workload::kMemoryId,
                                        kPoolBase, pool_mr_->rkey, MiB(64)});
-    app_thread_ = std::make_unique<sim::SimThread>(f_.compute_machine, "app");
+    app_thread_ = std::make_unique<sim::SimThread>(f_.compute().machine, "app");
   }
 
   // One op at a time: issue, poll to completion, record both endpoints.
@@ -108,7 +108,7 @@ class BreakdownTestBase : public ::testing::Test {
         << error;
   }
 
-  TestFabric f_;
+  Fabric f_{workload::ChaosTopology()};
   Hub hub_;
   const rdma::MemoryRegion* pool_mr_;
   std::unique_ptr<CowbirdClient> client_;
@@ -117,18 +117,19 @@ class BreakdownTestBase : public ::testing::Test {
 
 class SpotBreakdownTest : public BreakdownTestBase {
  public:
-  SpotBreakdownTest() : spot_machine_(f_.sim, 1) {
+  SpotBreakdownTest() {
     spot::SpotAgent::Config ac;
     ac.telemetry = &hub_;
-    agent_ = std::make_unique<spot::SpotAgent>(f_.spot_dev, spot_machine_, ac);
-    rdma::Device* memories[] = {&f_.memory_dev};
-    auto conn = spot::ConnectSpotEngine(f_.spot_dev, f_.compute_dev, memories);
+    agent_ =
+        std::make_unique<spot::SpotAgent>(f_.spot().dev, f_.spot().machine, ac);
+    rdma::Device* memories[] = {&f_.memory().dev};
+    auto conn =
+        spot::ConnectSpotEngine(f_.spot().dev, f_.compute().dev, memories);
     agent_->AddInstance(client_->descriptor(), conn.to_compute,
                         conn.compute_cq, conn.to_memory, conn.memory_cqs);
     agent_->Start();
   }
 
-  sim::Machine spot_machine_;
   std::unique_ptr<spot::SpotAgent> agent_;
 };
 
@@ -138,9 +139,9 @@ class P4BreakdownTest : public BreakdownTestBase {
     p4::CowbirdP4Engine::Config ec;
     ec.switch_node_id = kSwitchId;
     ec.telemetry = &hub_;
-    engine_ = std::make_unique<p4::CowbirdP4Engine>(f_.sw, ec);
-    auto conn = p4::ConnectP4Engine(*engine_, kSwitchId, f_.compute_dev,
-                                    f_.memory_dev, 0x800);
+    engine_ = std::make_unique<p4::CowbirdP4Engine>(f_.sw(), ec);
+    auto conn = p4::ConnectP4Engine(*engine_, kSwitchId, f_.compute().dev,
+                                    f_.memory().dev, 0x800);
     engine_->AddInstance(client_->descriptor(), conn);
     engine_->Start();
   }
@@ -149,7 +150,7 @@ class P4BreakdownTest : public BreakdownTestBase {
 };
 
 TEST_F(SpotBreakdownTest, ReadLatencyEqualsSumOfSegments) {
-  f_.memory_mem.Write(kPoolBase + 0x2000, Pattern(256, 1));
+  f_.memory().mem.Write(kPoolBase + 0x2000, Pattern(256, 1));
   OpTiming read;
   f_.sim.Spawn([](SpotBreakdownTest& t, OpTiming& out) -> sim::Task<void> {
     co_await t.RunOp(/*is_write=*/false, 0x2000, 256, out);
@@ -161,7 +162,7 @@ TEST_F(SpotBreakdownTest, ReadLatencyEqualsSumOfSegments) {
 }
 
 TEST_F(SpotBreakdownTest, WriteLatencyEqualsSumOfSegments) {
-  f_.compute_mem.Write(kHeap, Pattern(512, 2));
+  f_.compute().mem.Write(kHeap, Pattern(512, 2));
   OpTiming write;
   f_.sim.Spawn([](SpotBreakdownTest& t, OpTiming& out) -> sim::Task<void> {
     co_await t.RunOp(/*is_write=*/true, 0x8000, 512, out);
@@ -172,8 +173,8 @@ TEST_F(SpotBreakdownTest, WriteLatencyEqualsSumOfSegments) {
 }
 
 TEST_F(SpotBreakdownTest, BackToBackOpsEachTileExactly) {
-  f_.memory_mem.Write(kPoolBase + 0x2000, Pattern(256, 3));
-  f_.compute_mem.Write(kHeap, Pattern(256, 4));
+  f_.memory().mem.Write(kPoolBase + 0x2000, Pattern(256, 3));
+  f_.compute().mem.Write(kHeap, Pattern(256, 4));
   OpTiming r1, w1, r2;
   f_.sim.Spawn([](SpotBreakdownTest& t, OpTiming& a, OpTiming& b,
                   OpTiming& c) -> sim::Task<void> {
@@ -193,7 +194,7 @@ TEST_F(SpotBreakdownTest, BackToBackOpsEachTileExactly) {
 }
 
 TEST_F(P4BreakdownTest, ReadLatencyEqualsSumOfSegments) {
-  f_.memory_mem.Write(kPoolBase + 0x2000, Pattern(256, 5));
+  f_.memory().mem.Write(kPoolBase + 0x2000, Pattern(256, 5));
   OpTiming read;
   f_.sim.Spawn([](P4BreakdownTest& t, OpTiming& out) -> sim::Task<void> {
     co_await t.RunOp(/*is_write=*/false, 0x2000, 256, out);
@@ -205,7 +206,7 @@ TEST_F(P4BreakdownTest, ReadLatencyEqualsSumOfSegments) {
 }
 
 TEST_F(P4BreakdownTest, WriteLatencyEqualsSumOfSegments) {
-  f_.compute_mem.Write(kHeap, Pattern(512, 6));
+  f_.compute().mem.Write(kHeap, Pattern(512, 6));
   OpTiming write;
   f_.sim.Spawn([](P4BreakdownTest& t, OpTiming& out) -> sim::Task<void> {
     co_await t.RunOp(/*is_write=*/true, 0x8000, 512, out);

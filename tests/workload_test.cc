@@ -298,7 +298,9 @@ TEST(ScaleSimTest, CallerHubReceivesEveryNodesTelemetry) {
     EXPECT_GT(*value, 0) << key;
   }
   EXPECT_EQ(snap.counters.size(), 53u);
-  EXPECT_EQ(snap.gauges.size(), 451u);
+  // 451 fabric, client and engine gauges, plus the event pool's three.
+  EXPECT_EQ(snap.gauges.size(), 454u);
+  EXPECT_TRUE(snap.GaugeValue("pool_high_water{pool=sim_events}").has_value());
   // 15 hosts, each with an uplink and an egress link.
   EXPECT_EQ(GaugeTotal(snap, "link_packets_delivered"),
             std::make_pair(30, std::int64_t{139604}));
