@@ -143,5 +143,54 @@ TEST(MigrationScale, FanInRebalanceRecoversSteadyState) {
   }
 }
 
+// Serial pins of the 16-node rebalance on both engines: per-client ops,
+// events, the copy stream's totals, the cutover instants and the phase
+// p99s. Every run is one event loop, so these are exact; any drift is a
+// change to the copy-then-cutover sequence or the client loop.
+TEST(MigrationScale, FanInRebalanceMatchesSerialPin) {
+  struct Pin {
+    workload::Paradigm paradigm;
+    std::vector<std::uint64_t> client_ops;
+    std::uint64_t sim_events;
+    std::uint64_t bytes_copied;
+    std::uint64_t dirty_marks;
+    Nanos started_at;
+    Nanos cutover_at;
+    Nanos p99_before;
+    Nanos p99_during;
+    Nanos p99_after;
+  };
+  const Pin pins[] = {
+      {workload::Paradigm::kCowbird,
+       {1506, 1690, 1551, 1704, 1534, 1690, 1523, 1721, 1566, 1616, 1593,
+        1629},
+       638743, 2101248, 0, Micros(400), Micros(650), 47703, 59960, 48518},
+      {workload::Paradigm::kCowbirdP4,
+       {2293, 2685, 2426, 2684, 2428, 2745, 2384, 2683, 2402, 2636, 2368,
+        2654},
+       847964, 2101248, 0, Micros(400), Micros(650), 24122, 50278, 31712},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(workload::ParadigmName(pin.paradigm));
+    workload::ScaleWorkloadConfig cfg;
+    cfg.paradigm = pin.paradigm;
+    cfg.records = 16'384;
+    cfg.measure = Millis(1);
+    cfg.sample_latency = true;
+    cfg.migrate = true;
+    const workload::ScaleWorkloadResult r = workload::RunScaleWorkload(cfg);
+    EXPECT_EQ(r.client_ops, pin.client_ops);
+    EXPECT_EQ(r.sim_events, pin.sim_events);
+    EXPECT_EQ(r.migrations, 1u);
+    EXPECT_EQ(r.migrate_bytes_copied, pin.bytes_copied);
+    EXPECT_EQ(r.migrate_dirty_marks, pin.dirty_marks);
+    EXPECT_EQ(r.migrate_started_at, pin.started_at);
+    EXPECT_EQ(r.migrate_cutover_at, pin.cutover_at);
+    EXPECT_EQ(r.p99_before, pin.p99_before);
+    EXPECT_EQ(r.p99_during, pin.p99_during);
+    EXPECT_EQ(r.p99_after, pin.p99_after);
+  }
+}
+
 }  // namespace
 }  // namespace cowbird

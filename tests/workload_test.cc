@@ -159,6 +159,29 @@ TEST(HashWorkload, SpotAgentFitsInOneCore) {
   EXPECT_GT(r.offload_core_util, 0.0);
 }
 
+// Serial pins of the async Cowbird loop with local hits and writes mixed
+// in: exact op and event counts, so any change to the loop's RNG draws,
+// work charges or events shows up here, not only in paper-shape ratios.
+TEST(HashWorkload, CowbirdLoopMatchesSerialPin) {
+  const struct {
+    Paradigm paradigm;
+    std::uint64_t ops;
+    std::uint64_t sim_events;
+  } pins[] = {
+      {Paradigm::kCowbird, 3669u, 107054u},
+      {Paradigm::kCowbirdP4, 1206u, 30930u},
+  };
+  for (const auto& pin : pins) {
+    HashWorkloadConfig c = Quick(pin.paradigm, 2, 256);
+    c.write_fraction = 0.3;
+    c.warmup = Micros(100);
+    c.measure = Micros(300);
+    const WorkloadResult r = RunHashWorkload(c);
+    EXPECT_EQ(r.ops, pin.ops) << ParadigmName(pin.paradigm);
+    EXPECT_EQ(r.sim_events, pin.sim_events) << ParadigmName(pin.paradigm);
+  }
+}
+
 TEST(LatencyProbe, SyncAndCowbirdUnbatchedAreClose) {
   LatencyProbeConfig sync;
   sync.paradigm = Paradigm::kOneSidedSync;
