@@ -101,8 +101,7 @@ struct ChaosHarness {
         fabric(workload::ChaosTopology(opt.plan.migrate),
                MakeSwitchConfig(opt), MakeNicConfig(opt), hub),
         standby_machine(fabric.sim, 1),
-        injector(fabric.sim, opt.plan, opt.seed),
-        telemetry_hub(hub) {
+        injector(fabric.sim, opt.plan, opt.seed) {
     if (opt.plan.migrate) {
       // The elastic pool owns the slabs (it registers the MRs itself);
       // legacy runs keep the historical single RegisterMemory call so the
@@ -196,18 +195,28 @@ struct ChaosHarness {
       fabric.sim.ScheduleAt(when, [this] { CrashServingEngine(); });
     }
     if (opt.plan.migrate) {
-      // The copy stream's QP: source-device side `a` writes into memory2's
-      // slab, congestion-controlled against the foreground traffic.
-      migrate_qp = rdma::ConnectQueuePairs(memory.dev, fabric.memory(1).dev);
-      // Every coordinator tick is pre-scheduled up front: a
-      // self-rescheduling tick would draw its event sequence numbers at
-      // different points and could move a same-time tie-break, and the
-      // chaos parity goldens pin this exact schedule. Ticks on a finished
-      // migration are cheap no-ops.
-      for (Nanos when = opt.plan.migrate_start; when < kDrainDeadline;
-           when += kMigrateTick) {
-        fabric.sim.ScheduleAt(when, [this] { MigrationTick(); });
-      }
+      // Live-migrate the hot range to memory2 from migrate_start on, through
+      // a registry handoff. The copy stream's QP writes from the source
+      // device into memory2's slab, congestion-controlled against the
+      // foreground traffic.
+      const std::uint32_t id = client->descriptor().instance_id;
+      core::RegionMigrator::Hooks hooks;
+      // BeginHandoff refuses while the instance is mid crash-migration and
+      // unassigned; the migrator retries on its next tick.
+      hooks.detach = [this, id] { return registry.BeginHandoff(id); };
+      hooks.attach = [this, id] {
+        serving = registry.CompleteHandoff(id);
+        COWBIRD_CHECK(serving != offload::kNoEngine);
+      };
+      core::RegionMigrator::Config mc;
+      mc.chunk = KiB(16);  // stretch the copy so foreground writes race it
+      mc.window = 2;
+      mc.telemetry = hub;
+      migrator = std::make_unique<core::RegionMigrator>(
+          pool, *client, kRegion, kPoolBase, kMemory2Id, memory.dev,
+          rdma::ConnectQueuePairs(memory.dev, fabric.memory(1).dev),
+          std::move(hooks), opt.plan.migrate_start, kMigrateTick,
+          kDrainDeadline, mc);
     }
   }
 
@@ -295,7 +304,7 @@ struct ChaosHarness {
       // the cutover.
       auto snapshot = p4_engine->ExportProgress(instance_id);
       p4_engine->RemoveInstance(instance_id);
-      if (!handoff_in_progress) p4_engine->StopProbing();
+      if (!registry.HandoffInProgress(instance_id)) p4_engine->StopProbing();
       return snapshot;
     };
     return binding;
@@ -362,69 +371,6 @@ struct ChaosHarness {
     fabric.sim.ScheduleAfter(500, [this, &f] { PumpBg(f); });
   }
 
-  // One step of the copy-then-cutover state machine (core/migration.h),
-  // driven by the pre-scheduled tick train.
-  void MigrationTick() {
-    switch (migration_stage) {
-      case MigrationStage::kArmed: {
-        migrate_plan = pool.PlanMove(kRegion, kPoolBase, kMemory2Id);
-        COWBIRD_CHECK(migrate_plan.has_value());
-        core::RegionMigrator::Config mc;
-        mc.chunk = KiB(16);  // stretch the copy so foreground writes race it
-        mc.window = 2;
-        mc.telemetry = telemetry_hub;
-        migrator = std::make_unique<core::RegionMigrator>(
-            memory.dev, *migrate_qp.a, *migrate_qp.a_send_cq, *migrate_plan,
-            mc);
-        migrator->Start();
-        migration_stage = MigrationStage::kCopying;
-        break;
-      }
-      case MigrationStage::kCopying: {
-        if (!migrator->ReadyForCutover()) break;
-        // Cutover, step 1: park the instance (the registry detach exports
-        // the resume snapshot and halts the engine-side QPs) and enter the
-        // final drain. Stragglers already on the wire still land on the
-        // source, re-mark their chunk, and are chased before Synced().
-        // BeginHandoff can refuse transiently (e.g. the instance is mid
-        // crash-migration and unassigned); retry on the next tick. The flag
-        // must be raised *before* the call: BeginHandoff synchronously runs
-        // the serving engine's detach, which keeps the P4 probe loop alive
-        // only while a handoff is in progress.
-        handoff_in_progress = true;
-        if (!registry.BeginHandoff(client->descriptor().instance_id)) {
-          handoff_in_progress = false;
-          break;
-        }
-        migrator->BeginFinalDrain();
-        migration_stage = MigrationStage::kDraining;
-        break;
-      }
-      case MigrationStage::kDraining: {
-        migrator->Nudge();
-        if (!migrator->Synced()) break;
-        // Cutover, step 2 — atomic in virtual time, all inside this one
-        // event: flip the pool's translation entry, republish the client's
-        // range table, and re-attach. The resumed engine rebuilds its
-        // translation mirror from the new placement, so every re-executed
-        // and new operation resolves to the destination server.
-        pool.CommitMove(*migrate_plan);
-        client->SetRegionRanges(kRegion, pool.RangesFor(kRegion));
-        migrator->Finish();
-        const EngineId placed =
-            registry.CompleteHandoff(client->descriptor().instance_id);
-        COWBIRD_CHECK(placed != offload::kNoEngine);
-        handoff_in_progress = false;
-        serving = placed;
-        migration_stage = MigrationStage::kDone;
-        ++migrations_executed;
-        break;
-      }
-      case MigrationStage::kDone:
-        break;
-    }
-  }
-
   void CrashServingEngine() {
     if (serving == offload::kNoEngine) return;
     // Bring up the standby as a *new* registry engine first so the
@@ -457,18 +403,11 @@ struct ChaosHarness {
   spot::SpotAgent* serving_agent = nullptr;
   EngineId serving = offload::kNoEngine;
   // Live-migration state (plan.migrate only).
-  enum class MigrationStage { kArmed, kCopying, kDraining, kDone };
   core::ClusterPool pool;
-  rdma::QpPair migrate_qp;
-  std::optional<core::ClusterPool::MigrationPlan> migrate_plan;
   std::unique_ptr<core::RegionMigrator> migrator;
-  MigrationStage migration_stage = MigrationStage::kArmed;
-  bool handoff_in_progress = false;
   std::uint32_t p4_qpn_base = 0x800;
-  std::uint64_t migrations_executed = 0;
   FaultInjector injector;
   std::vector<BgFlow> bg_flows;
-  telemetry::Hub* telemetry_hub = nullptr;
   HistoryRecorder recorder;
   std::uint64_t reads_checked = 0;
   std::uint64_t writes_completed = 0;
@@ -694,8 +633,8 @@ ChaosResult RunChaos(const ChaosOptions& options, telemetry::Hub* hub) {
   result.decided_reordered = harness.injector.decided_reordered();
   result.decided_delayed = harness.injector.decided_delayed();
   result.crashes_executed = harness.crashes_executed;
-  result.migrations_executed = harness.migrations_executed;
   if (harness.migrator != nullptr) {
+    result.migrations_executed = harness.migrator->cut_over() ? 1 : 0;
     result.migrate_bytes_copied = harness.migrator->bytes_copied();
     result.migrate_dirty_marks = harness.migrator->dirty_marks();
   }

@@ -99,7 +99,10 @@ bool InstanceRegistry::BeginHandoff(std::uint32_t instance_id) {
   }
   if (held_.find(instance_id) != held_.end()) return false;
   auto& from = engines_.at(assigned->second);
-  held_[instance_id] = from.binding.detach(instance_id);
+  // Park first, so the engine's detach sees HandoffInProgress() and can
+  // tell a handoff (the instance comes back) from a crash or a stop.
+  std::optional<InstanceProgress>& parked = held_[instance_id];
+  parked = from.binding.detach(instance_id);
   assigned->second = kNoEngine;
   return true;
 }

@@ -80,6 +80,8 @@ class InstanceRegistry {
   // with the parked snapshot, so the resumed engine sees only the new
   // placement. Returns the engine chosen, or kNoEngine when no live engine
   // accepted the instance (it stays parked and can be retried).
+  // HandoffInProgress is already true inside the detach BeginHandoff runs,
+  // and false inside the detaches of Reassign and StopEngine.
   bool BeginHandoff(std::uint32_t instance_id);
   EngineId CompleteHandoff(std::uint32_t instance_id,
                            EngineId to = kNoEngine);

@@ -16,7 +16,6 @@
 #include "core/client.h"
 #include "p4/engine.h"
 #include "spot/setup.h"
-#include "workload/generator.h"
 #include "workload/fabric.h"
 
 namespace cowbird::workload {
@@ -41,6 +40,13 @@ constexpr std::uint64_t kPoolBase = 0x1000'0000;
 constexpr std::uint64_t kHeapBase = 0x8000'0000;
 constexpr std::uint64_t kHeapStride = MiB(4);
 constexpr std::uint16_t kRegion = 1;
+// The hash loop's back-off when a completion poll finds nothing.
+constexpr Nanos kPollIdle = 300;
+
+std::uint64_t LocalKeys(const HashWorkloadConfig& cfg) {
+  return static_cast<std::uint64_t>(cfg.local_fraction *
+                                    static_cast<double>(cfg.records));
+}
 
 struct Harness {
   explicit Harness(const HashWorkloadConfig& config,
@@ -149,16 +155,7 @@ struct Harness {
     }
   }
 
-  std::uint64_t LocalKeyCount() const {
-    return static_cast<std::uint64_t>(cfg.local_fraction *
-                                      static_cast<double>(cfg.records));
-  }
   std::uint64_t HeapFor(int t) const { return kHeapBase + t * kHeapStride; }
-
-  std::uint64_t NextKey(Rng& rng) const {
-    if (cfg.zipfian) return zipf->NextScrambled(rng);
-    return rng.Below(cfg.records);
-  }
 
   HashWorkloadConfig cfg;
   Fabric bed;
@@ -168,7 +165,6 @@ struct Harness {
   std::unique_ptr<p4::CowbirdP4Engine> p4_engine;
   std::unique_ptr<baselines::TwoSidedServer> server;
   std::unique_ptr<baselines::AifmModel> aifm;
-  std::unique_ptr<ZipfianGenerator> zipf;
   std::unique_ptr<Rng> loss_rng;
   std::vector<std::unique_ptr<sim::SimThread>> threads;
   std::vector<std::unique_ptr<baselines::TwoSidedClient>> rpc_clients;
@@ -194,10 +190,10 @@ sim::Task<void> LocalAccessWork(Harness& h, sim::SimThread& thread) {
 sim::Task<void> DriveSync(Harness& h, int t) {
   sim::SimThread& thread = *h.threads[t];
   Rng rng(h.cfg.seed * 7919 + t);
-  const std::uint64_t local_keys = h.LocalKeyCount();
+  const std::uint64_t local_keys = LocalKeys(h.cfg);
   const std::uint64_t dest = h.HeapFor(t);
   for (;;) {
-    const std::uint64_t key = h.NextKey(rng);
+    const std::uint64_t key = rng.Below(h.cfg.records);
     co_await AppProbeWork(h, thread);
     if (key < local_keys) {
       co_await LocalAccessWork(h, thread);
@@ -231,7 +227,7 @@ sim::Task<void> DriveLocal(Harness& h, int t) {
   sim::SimThread& thread = *h.threads[t];
   Rng rng(h.cfg.seed * 7919 + t);
   for (;;) {
-    (void)h.NextKey(rng);
+    (void)rng.Below(h.cfg.records);
     co_await AppProbeWork(h, thread);
     co_await LocalAccessWork(h, thread);
     ++h.ops[t];
@@ -242,10 +238,10 @@ sim::Task<void> DriveOneSidedAsync(Harness& h, int t) {
   sim::SimThread& thread = *h.threads[t];
   baselines::AsyncPipeline& pipeline = *h.pipelines[t];
   Rng rng(h.cfg.seed * 7919 + t);
-  const std::uint64_t local_keys = h.LocalKeyCount();
+  const std::uint64_t local_keys = LocalKeys(h.cfg);
   for (;;) {
     if (pipeline.CanIssue()) {
-      const std::uint64_t key = h.NextKey(rng);
+      const std::uint64_t key = rng.Below(h.cfg.records);
       co_await AppProbeWork(h, thread);
       if (key < local_keys) {
         co_await LocalAccessWork(h, thread);
@@ -268,58 +264,28 @@ sim::Task<void> DriveOneSidedAsync(Harness& h, int t) {
   }
 }
 
-sim::Task<void> DriveCowbird(Harness& h, int t) {
-  sim::SimThread& thread = *h.threads[t];
-  auto& ctx = h.client->thread(t);
-  Rng rng(h.cfg.seed * 7919 + t);
-  const std::uint64_t local_keys = h.LocalKeyCount();
-  const core::PollId poll = ctx.PollCreate();
-  // Responses array owned by the application, Table-2 style: reused across
-  // poll_wait calls so the steady-state harvest loop never allocates.
-  std::vector<core::ReqId> done;
-  done.reserve(static_cast<std::size_t>(h.cfg.window));
-  int outstanding = 0;
-  for (;;) {
-    if (outstanding < h.cfg.window) {
-      const std::uint64_t key = h.NextKey(rng);
-      co_await AppProbeWork(h, thread);
-      if (key < local_keys) {
-        co_await LocalAccessWork(h, thread);
-        ++h.ops[t];
-        continue;
-      }
-      const std::uint64_t slot =
-          rng.Below(static_cast<std::uint64_t>(h.cfg.window));
-      std::optional<core::ReqId> id;
-      if (h.cfg.write_fraction > 0 &&
-          rng.NextDouble() < h.cfg.write_fraction) {
-        id = co_await ctx.AsyncWrite(
-            thread, kRegion, h.HeapFor(t) + slot * h.cfg.record_size,
-            key * h.cfg.record_size,
-            static_cast<std::uint32_t>(h.cfg.record_size));
-      } else {
-        id = co_await ctx.AsyncRead(
-            thread, kRegion, key * h.cfg.record_size,
-            h.HeapFor(t) + slot * h.cfg.record_size,
-            static_cast<std::uint32_t>(h.cfg.record_size));
-      }
-      if (id.has_value()) {
-        ctx.PollAdd(poll, *id);
-        ++outstanding;
-        continue;
-      }
-      // Rings full: fall through to harvest completions.
+void SpawnDrivers(Harness& h) {
+  for (int t = 0; t < h.cfg.threads; ++t) {
+    switch (h.cfg.paradigm) {
+      case Paradigm::kLocalMemory:
+        h.bed.sim.Spawn(DriveLocal(h, t));
+        break;
+      case Paradigm::kOneSidedSync:
+      case Paradigm::kTwoSidedSync:
+      case Paradigm::kAifm:
+        h.bed.sim.Spawn(DriveSync(h, t));
+        break;
+      case Paradigm::kOneSidedAsync:
+        h.bed.sim.Spawn(DriveOneSidedAsync(h, t));
+        break;
+      case Paradigm::kCowbird:
+      case Paradigm::kCowbirdNoBatch:
+      case Paradigm::kCowbirdP4:
+        h.bed.sim.Spawn(DriveCowbird(h.cfg, *h.threads[t], *h.client, t,
+                                     h.cfg.seed * 7919 + t, h.HeapFor(t),
+                                     kPollIdle, h.ops[t]));
+        break;
     }
-    co_await ctx.PollWait(thread, poll, done, h.cfg.window, 0);
-    if (done.empty()) {
-      co_await thread.Idle(300);
-      continue;
-    }
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      co_await AppConsumeWork(h, thread);
-      ++h.ops[t];
-    }
-    outstanding -= static_cast<int>(done.size());
   }
 }
 
@@ -343,32 +309,86 @@ CpuSnapshot Snapshot(const Harness& h) {
 
 }  // namespace
 
+sim::Task<void> DriveCowbird(const HashWorkloadConfig& cfg,
+                             sim::SimThread& thread,
+                             core::CowbirdClient& client, int t,
+                             std::uint64_t rng_seed, std::uint64_t heap,
+                             Nanos idle, std::uint64_t& ops,
+                             std::vector<std::pair<Nanos, Nanos>>* latency) {
+  auto& ctx = client.thread(t);
+  Rng rng(rng_seed);
+  const std::uint64_t local_keys = LocalKeys(cfg);
+  const auto len = static_cast<std::uint32_t>(cfg.record_size);
+  const core::PollId poll = ctx.PollCreate();
+  // Responses array owned by the application, Table-2 style: reused across
+  // poll_wait calls so the steady-state harvest loop never allocates.
+  std::vector<core::ReqId> done;
+  done.reserve(static_cast<std::size_t>(cfg.window));
+  // (read seq, issue time) of every sampled read in flight. A thread's
+  // reads retire in issue order, so a FIFO sized to the window is enough.
+  FixedDeque<std::pair<std::uint64_t, Nanos>> issued;
+  if (latency != nullptr) {
+    COWBIRD_CHECK(cfg.write_fraction == 0);
+    issued.Reserve(static_cast<std::size_t>(cfg.window));
+  }
+  int outstanding = 0;
+  for (;;) {
+    if (outstanding < cfg.window) {
+      const std::uint64_t key = rng.Below(cfg.records);
+      co_await thread.Work(cfg.app_compute, sim::CpuCategory::kCompute);
+      if (key < local_keys) {
+        co_await thread.Work(
+            cfg.costs.local_access + cfg.costs.CopyCost(cfg.record_size),
+            sim::CpuCategory::kCompute);
+        ++ops;
+        continue;
+      }
+      const std::uint64_t slot =
+          rng.Below(static_cast<std::uint64_t>(cfg.window));
+      const std::uint64_t local = heap + slot * cfg.record_size;
+      std::optional<core::ReqId> id;
+      if (cfg.write_fraction > 0 && rng.NextDouble() < cfg.write_fraction) {
+        id = co_await ctx.AsyncWrite(thread, kRegion, local,
+                                     key * cfg.record_size, len);
+      } else {
+        id = co_await ctx.AsyncRead(thread, kRegion, key * cfg.record_size,
+                                    local, len);
+      }
+      if (id.has_value()) {
+        ctx.PollAdd(poll, *id);
+        if (latency != nullptr) {
+          issued.push_back({id->seq(), thread.simulation().Now()});
+        }
+        ++outstanding;
+        continue;
+      }
+      // Rings full: fall through to harvest completions.
+    }
+    co_await ctx.PollWait(thread, poll, done, cfg.window, 0);
+    if (done.empty()) {
+      co_await thread.Idle(idle);
+      continue;
+    }
+    if (latency != nullptr) {
+      const Nanos now = thread.simulation().Now();
+      for (const core::ReqId id : done) {
+        COWBIRD_CHECK(!issued.empty() && issued.front().first == id.seq());
+        latency->emplace_back(now, now - issued.front().second);
+        issued.pop_front();
+      }
+    }
+    for (std::size_t i = 0; i < done.size(); ++i) {
+      co_await thread.Work(cfg.costs.CopyCost(cfg.record_size),
+                           sim::CpuCategory::kCompute);
+      ++ops;
+    }
+    outstanding -= static_cast<int>(done.size());
+  }
+}
+
 WorkloadResult RunHashWorkload(const HashWorkloadConfig& config) {
   Harness h(config);
-  if (config.zipfian) {
-    h.zipf = std::make_unique<ZipfianGenerator>(config.records,
-                                                config.zipf_theta);
-  }
-  for (int t = 0; t < config.threads; ++t) {
-    switch (config.paradigm) {
-      case Paradigm::kLocalMemory:
-        h.bed.sim.Spawn(DriveLocal(h, t));
-        break;
-      case Paradigm::kOneSidedSync:
-      case Paradigm::kTwoSidedSync:
-      case Paradigm::kAifm:
-        h.bed.sim.Spawn(DriveSync(h, t));
-        break;
-      case Paradigm::kOneSidedAsync:
-        h.bed.sim.Spawn(DriveOneSidedAsync(h, t));
-        break;
-      case Paradigm::kCowbird:
-      case Paradigm::kCowbirdNoBatch:
-      case Paradigm::kCowbirdP4:
-        h.bed.sim.Spawn(DriveCowbird(h, t));
-        break;
-    }
-  }
+  SpawnDrivers(h);
 
   h.bed.sim.RunFor(config.warmup);
   const CpuSnapshot start = Snapshot(h);
@@ -523,27 +543,14 @@ ContentionResult RunContentionExperiment(const HashWorkloadConfig& config,
                                          int tcp_flows,
                                          BitRate compute_uplink) {
   Harness h(config, compute_uplink);
-  if (config.zipfian) {
-    h.zipf = std::make_unique<ZipfianGenerator>(config.records,
-                                                config.zipf_theta);
-  }
+  // Figure 14 compares Cowbird against no Cowbird.
+  COWBIRD_CHECK(config.paradigm == Paradigm::kLocalMemory ||
+                config.paradigm == Paradigm::kCowbird ||
+                config.paradigm == Paradigm::kCowbirdNoBatch ||
+                config.paradigm == Paradigm::kCowbirdP4);
   // Worst case per the paper: RDMA above user traffic on the shared uplink.
   h.bed.compute().nic.uplink().set_priority_scheduling(true);
-
-  for (int t = 0; t < config.threads; ++t) {
-    switch (config.paradigm) {
-      case Paradigm::kLocalMemory:
-        h.bed.sim.Spawn(DriveLocal(h, t));
-        break;
-      case Paradigm::kCowbird:
-      case Paradigm::kCowbirdNoBatch:
-      case Paradigm::kCowbirdP4:
-        h.bed.sim.Spawn(DriveCowbird(h, t));
-        break;
-      default:
-        COWBIRD_CHECK(false);  // Figure 14 compares Cowbird vs no Cowbird
-    }
-  }
+  SpawnDrivers(h);
 
   std::vector<std::unique_ptr<net::GreedyFlow>> flows;
   for (int i = 0; i < tcp_flows; ++i) {

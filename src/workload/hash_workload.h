@@ -11,9 +11,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "common/units.h"
+#include "core/client.h"
 #include "rdma/params.h"
+#include "sim/task.h"
+#include "sim/thread.h"
 #include "spot/agent.h"
 #include "telemetry/hub.h"
 
@@ -43,8 +48,6 @@ struct HashWorkloadConfig {
   Nanos warmup = Micros(300);
   Nanos measure = Millis(2);
   std::uint64_t seed = 1;
-  bool zipfian = false;
-  double zipf_theta = 0.99;
   // Fraction of operations that are remote *writes* (ablation: write
   // interference with the two engines' read-fencing policies).
   double write_fraction = 0.0;
@@ -80,6 +83,23 @@ struct WorkloadResult {
 };
 
 WorkloadResult RunHashWorkload(const HashWorkloadConfig& config);
+
+// The async Cowbird client loop of the hash and rack workloads. One
+// application thread keeps up to cfg.window operations in flight through
+// thread `t` of `client`: per key it spends cfg.app_compute probing the
+// index, then serves keys below cfg.local_fraction * cfg.records from local
+// memory and issues a remote read (a write with probability
+// cfg.write_fraction) for the rest, delivering into
+// [heap, heap + cfg.window * cfg.record_size) of region 1. When the window
+// or the rings are full it harvests with poll_wait, and parks for `idle`
+// when nothing completed. `ops` counts completed operations. With
+// `latency`, each completed read appends (completion time, latency); that
+// needs cfg.write_fraction == 0 and changes no RNG draw or simulated time.
+sim::Task<void> DriveCowbird(
+    const HashWorkloadConfig& cfg, sim::SimThread& thread,
+    core::CowbirdClient& client, int t, std::uint64_t rng_seed,
+    std::uint64_t heap, Nanos idle, std::uint64_t& ops,
+    std::vector<std::pair<Nanos, Nanos>>* latency = nullptr);
 
 // Closed-loop latency probe (Figure 13): a single thread keeps `inflight`
 // operations outstanding and records per-operation completion latency.

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/rng.h"
 #include "common/stats.h"
 #include "core/client.h"
 #include "core/cluster_pool.h"
@@ -114,28 +113,7 @@ struct ScaleHarness {
       }
       p4_switch_id = ec.switch_node_id;
       p4_engine = std::make_unique<p4::CowbirdP4Engine>(bed.sw(), ec);
-      for (int k = 0; k < cfg.clients; ++k) {
-        const int server = ServerFor(cfg, k);
-        const std::uint32_t qpn_base =
-            0x800 + 0x20 * static_cast<std::uint32_t>(k);
-        p4::P4Connection conn;
-        if (cfg.migrate && k == 0) {
-          // The migrating instance needs an endpoint pair on both servers:
-          // post-cutover translations resolve to the destination.
-          rdma::Device* memories[] = {&bed.memory(0).dev, &bed.memory(1).dev};
-          conn = p4::ConnectP4Engine(*p4_engine, ec.switch_node_id,
-                                     bed.compute(0).dev, memories, qpn_base);
-        } else {
-          conn = p4::ConnectP4Engine(*p4_engine, ec.switch_node_id,
-                                     bed.compute(k).dev,
-                                     bed.memory(server).dev, qpn_base);
-        }
-        p4_engine->AddInstance(clients[static_cast<std::size_t>(k)]
-                                   ->descriptor(),
-                               conn);
-      }
-      reattach_qpn_base = 0x800 + 0x20 * static_cast<std::uint32_t>(
-                                             cfg.clients);
+      for (int k = 0; k < cfg.clients; ++k) Attach(k, nullptr);
       p4_engine->Start();
     } else {
       COWBIRD_CHECK(cfg.paradigm == Paradigm::kCowbird);
@@ -144,29 +122,8 @@ struct ScaleHarness {
       ac.telemetry = cfg.telemetry;
       agent = std::make_unique<spot::SpotAgent>(bed.spot().dev,
                                                 bed.spot().machine, ac);
-      for (int k = 0; k < cfg.clients; ++k) {
-        const int server = ServerFor(cfg, k);
-        std::vector<rdma::Device*> memories;
-        if (cfg.migrate && k == 0) {
-          memories = {&bed.memory(0).dev, &bed.memory(1).dev};
-        } else {
-          memories = {&bed.memory(server).dev};
-        }
-        auto conn = spot::ConnectSpotEngine(bed.spot().dev,
-                                            bed.compute(k).dev, memories);
-        agent->AddInstance(clients[static_cast<std::size_t>(k)]
-                               ->descriptor(),
-                           conn.to_compute, conn.compute_cq, conn.to_memory,
-                           conn.memory_cqs);
-      }
+      for (int k = 0; k < cfg.clients; ++k) Attach(k, nullptr);
       agent->Start();
-    }
-
-    if (cfg.migrate) {
-      // The copy stream rides a dedicated QP src→dst, sharing the fabric —
-      // and therefore contending — with the foreground read traffic.
-      migrate_qp =
-          rdma::ConnectQueuePairs(bed.memory(0).dev, bed.memory(1).dev);
     }
   }
 
@@ -178,76 +135,48 @@ struct ScaleHarness {
     return total;
   }
 
-  // One pre-scheduled coordinator tick: drives the copy-then-cutover state
-  // machine for client 0's region. The cutover itself — translation flip,
-  // client range republish, engine re-attach — happens inside a single
-  // tick, atomic in virtual time.
-  void MigrationTick(Nanos now) {
-    switch (migration_stage) {
-      case MigrationStage::kArmed: {
-        migrate_started_at = now;
-        ops_at_migrate_start = TotalOps();
-        migrate_plan =
-            pool.PlanMove(kRegion, kPoolBase, bed.memory(1).nic.id());
-        COWBIRD_CHECK(migrate_plan.has_value());
-        core::RegionMigrator::Config mc;
-        mc.chunk = cfg.migrate_chunk;
-        mc.window = cfg.migrate_window;
-        mc.telemetry = cfg.telemetry;
-        migrator = std::make_unique<core::RegionMigrator>(
-            bed.memory(0).dev, *migrate_qp.a, *migrate_qp.a_send_cq,
-            *migrate_plan, mc);
-        migrator->Start();
-        migration_stage = MigrationStage::kCopying;
-        break;
-      }
-      case MigrationStage::kCopying: {
-        if (!migrator->ReadyForCutover()) break;
-        // Detach: export the resume snapshot and stop serving client 0.
-        // Reads it had in flight are re-executed after the re-attach.
-        const std::uint32_t id = clients[0]->descriptor().instance_id;
-        if (p4_engine != nullptr) {
-          migrate_resume = p4_engine->ExportProgress(id);
-          p4_engine->RemoveInstance(id);
-        } else {
-          migrate_resume = agent->ExportProgress(id);
-          agent->RemoveInstance(id);
-        }
-        COWBIRD_CHECK(migrate_resume.has_value());
-        migrator->BeginFinalDrain();
-        migration_stage = MigrationStage::kDraining;
-        break;
-      }
-      case MigrationStage::kDraining: {
-        migrator->Nudge();
-        if (!migrator->Synced()) break;
-        pool.CommitMove(*migrate_plan);
-        clients[0]->SetRegionRanges(kRegion, pool.RangesFor(kRegion));
-        migrator->Finish();
-        rdma::Device* memories[] = {&bed.memory(0).dev, &bed.memory(1).dev};
-        if (p4_engine != nullptr) {
-          const auto conn = p4::ConnectP4Engine(
-              *p4_engine, p4_switch_id, bed.compute(0).dev, memories,
-              reattach_qpn_base);
-          p4_engine->AddInstance(clients[0]->descriptor(), conn,
-                                 &*migrate_resume);
-        } else {
-          const auto conn = spot::ConnectSpotEngine(bed.spot().dev,
-                                                    bed.compute(0).dev,
-                                                    memories);
-          agent->AddInstance(clients[0]->descriptor(), conn.to_compute,
-                             conn.compute_cq, conn.to_memory,
-                             conn.memory_cqs, &*migrate_resume);
-        }
-        migrate_cutover_at = now;
-        ops_at_cutover = TotalOps();
-        ++migrations;
-        migration_stage = MigrationStage::kDone;
-        break;
-      }
-      case MigrationStage::kDone:
-        break;
+  // Wires client k into the engine, resuming from `resume` when non-null:
+  // the initial attach of every client and the post-cutover re-attach of
+  // the migrating client 0, which gets an endpoint on both memory servers
+  // because its translations resolve to either.
+  void Attach(int k, const offload::InstanceProgress* resume) {
+    std::vector<rdma::Device*> memories{&bed.memory(ServerFor(cfg, k)).dev};
+    if (cfg.migrate && k == 0) {
+      memories = {&bed.memory(0).dev, &bed.memory(1).dev};
     }
+    const core::InstanceDescriptor& desc =
+        clients[static_cast<std::size_t>(k)]->descriptor();
+    if (p4_engine != nullptr) {
+      // Every attach takes a fresh QPN block, so a re-attach cannot collide
+      // with the host QPs the detached connection left behind.
+      const auto conn = p4::ConnectP4Engine(*p4_engine, p4_switch_id,
+                                            bed.compute(k).dev, memories,
+                                            p4_qpn_base);
+      p4_qpn_base += 0x20;
+      p4_engine->AddInstance(desc, conn, resume);
+    } else {
+      const auto conn = spot::ConnectSpotEngine(bed.spot().dev,
+                                                bed.compute(k).dev, memories);
+      agent->AddInstance(desc, conn.to_compute, conn.compute_cq,
+                         conn.to_memory, conn.memory_cqs, resume);
+    }
+  }
+
+  // Stops serving client k and returns its resume snapshot. Reads it had
+  // in flight are re-executed after the re-attach.
+  offload::InstanceProgress Detach(int k) {
+    const std::uint32_t id =
+        clients[static_cast<std::size_t>(k)]->descriptor().instance_id;
+    std::optional<offload::InstanceProgress> resume;
+    if (p4_engine != nullptr) {
+      resume = p4_engine->ExportProgress(id);
+      p4_engine->RemoveInstance(id);
+    } else {
+      resume = agent->ExportProgress(id);
+      agent->RemoveInstance(id);
+    }
+    COWBIRD_CHECK(resume.has_value());
+    return *resume;
   }
 
   static net::Switch::Config MakeSwitchConfig(const ScaleWorkloadConfig& c) {
@@ -265,16 +194,37 @@ struct ScaleHarness {
     return nc;
   }
 
-  sim::SimThread& ThreadFor(int k, int t) {
-    return *threads[static_cast<std::size_t>(k * cfg.threads_per_client + t)];
+  // The hash workload's read loop, reads only and every key remote.
+  static HashWorkloadConfig MakeLoopConfig(const ScaleWorkloadConfig& c) {
+    HashWorkloadConfig lc;
+    lc.record_size = c.record_size;
+    lc.records = c.records;
+    lc.local_fraction = 0;
+    lc.app_compute = c.app_compute;
+    lc.window = c.window;
+    lc.costs = c.costs;
+    return lc;
   }
 
-  std::vector<std::pair<Nanos, Nanos>>& TraceFor(int k, int t) {
-    return latency_traces[static_cast<std::size_t>(
-        k * cfg.threads_per_client + t)];
+  // Spawns client k's thread t. Jittered back-off: each client parks for a
+  // slightly different interval, so the fleet's completion polls
+  // decorrelate instead of marching as one synchronized herd
+  // (deterministic — a function of the client index only).
+  void SpawnDriver(int k, int t) {
+    const auto i = static_cast<std::size_t>(k * cfg.threads_per_client + t);
+    const Nanos idle = cfg.poll_idle + cfg.poll_jitter * k +
+                       cfg.poll_jitter * static_cast<Nanos>(t) * 7;
+    bed.sim.Spawn(DriveCowbird(
+        loop, *threads[i], *clients[static_cast<std::size_t>(k)], t,
+        cfg.seed * 7919 + static_cast<std::uint64_t>(k) * 131 +
+            static_cast<std::uint64_t>(t),
+        kHeapBase + t * kHeapStride, idle,
+        ops[static_cast<std::size_t>(k)][static_cast<std::size_t>(t)],
+        cfg.sample_latency ? &latency_traces[i] : nullptr));
   }
 
   ScaleWorkloadConfig cfg;
+  HashWorkloadConfig loop = MakeLoopConfig(cfg);
   Fabric bed;
   std::vector<const rdma::MemoryRegion*> pool_mrs;
   std::vector<std::unique_ptr<core::CowbirdClient>> clients;
@@ -288,86 +238,11 @@ struct ScaleHarness {
   std::vector<std::vector<std::pair<Nanos, Nanos>>> latency_traces;
 
   // Live-rebalance state (untouched unless cfg.migrate).
-  enum class MigrationStage { kArmed, kCopying, kDraining, kDone };
   core::ClusterPool pool;
   Bytes slab_bytes = 0;
   net::NodeId p4_switch_id = 0;
-  std::uint32_t reattach_qpn_base = 0;
-  rdma::QpPair migrate_qp;
-  std::optional<core::ClusterPool::MigrationPlan> migrate_plan;
-  std::unique_ptr<core::RegionMigrator> migrator;
-  std::optional<offload::InstanceProgress> migrate_resume;
-  MigrationStage migration_stage = MigrationStage::kArmed;
-  std::uint64_t migrations = 0;
-  Nanos migrate_started_at = 0;
-  Nanos migrate_cutover_at = 0;
-  std::uint64_t ops_at_migrate_start = 0;
-  std::uint64_t ops_at_cutover = 0;
+  std::uint32_t p4_qpn_base = 0x800;
 };
-
-// The async read loop of the hash workload (DriveCowbird), reads only —
-// issue up to `window`, then harvest. Wiring is per (client, thread).
-sim::Task<void> DriveClient(ScaleHarness& h, int k, int t) {
-  sim::SimThread& thread = h.ThreadFor(k, t);
-  auto& ctx = h.clients[static_cast<std::size_t>(k)]->thread(t);
-  Rng rng(h.cfg.seed * 7919 + static_cast<std::uint64_t>(k) * 131 +
-          static_cast<std::uint64_t>(t));
-  const core::PollId poll = ctx.PollCreate();
-  std::vector<core::ReqId> done;
-  done.reserve(static_cast<std::size_t>(h.cfg.window));
-  std::uint64_t& counter =
-      h.ops[static_cast<std::size_t>(k)][static_cast<std::size_t>(t)];
-  // Opt-in latency bookkeeping. It draws no RNG values and charges no
-  // simulated time, so op streams match a non-sampling run exactly.
-  const bool sample = h.cfg.sample_latency;
-  std::unordered_map<std::uint64_t, Nanos> issued_at;
-  auto& trace = h.TraceFor(k, t);
-  // Jittered back-off: each client parks for a slightly different interval,
-  // so the fleet's completion polls decorrelate instead of marching as one
-  // synchronized herd (deterministic — a function of the client index only).
-  const Nanos idle = h.cfg.poll_idle +
-                     h.cfg.poll_jitter * static_cast<Nanos>(k) +
-                     h.cfg.poll_jitter * static_cast<Nanos>(t) * 7;
-  int outstanding = 0;
-  for (;;) {
-    if (outstanding < h.cfg.window) {
-      const std::uint64_t key = rng.Below(h.cfg.records);
-      co_await thread.Work(h.cfg.app_compute, sim::CpuCategory::kCompute);
-      const std::uint64_t slot =
-          rng.Below(static_cast<std::uint64_t>(h.cfg.window));
-      auto id = co_await ctx.AsyncRead(
-          thread, kRegion, key * h.cfg.record_size,
-          kHeapBase + t * kHeapStride + slot * h.cfg.record_size,
-          static_cast<std::uint32_t>(h.cfg.record_size));
-      if (id.has_value()) {
-        ctx.PollAdd(poll, *id);
-        if (sample) issued_at[id->value()] = thread.simulation().Now();
-        ++outstanding;
-        continue;
-      }
-    }
-    co_await ctx.PollWait(thread, poll, done, h.cfg.window, 0);
-    if (done.empty()) {
-      co_await thread.Idle(idle);
-      continue;
-    }
-    if (sample) {
-      const Nanos now = thread.simulation().Now();
-      for (const core::ReqId id : done) {
-        const auto it = issued_at.find(id.value());
-        if (it == issued_at.end()) continue;
-        trace.emplace_back(now, now - it->second);
-        issued_at.erase(it);
-      }
-    }
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      co_await thread.Work(h.cfg.costs.CopyCost(h.cfg.record_size),
-                           sim::CpuCategory::kCompute);
-      ++counter;
-    }
-    outstanding -= static_cast<int>(done.size());
-  }
-}
 
 std::vector<std::uint64_t> PerClientOps(const ScaleHarness& h) {
   std::vector<std::uint64_t> totals;
@@ -388,18 +263,39 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
   ScaleHarness h(config);
   sim::Simulation& sim = h.bed.sim;
   for (int k = 0; k < config.clients; ++k) {
-    for (int t = 0; t < config.threads_per_client; ++t) {
-      sim.Spawn(DriveClient(h, k, t));
-    }
+    for (int t = 0; t < config.threads_per_client; ++t) h.SpawnDriver(k, t);
   }
 
+  // Client 0's live rebalance from memory server 0 to 1; its coordinator
+  // ticks every kMigrateTick from migrate_start to the end of the run. The
+  // phase split needs the op totals at the first tick and at the cutover.
+  std::optional<offload::InstanceProgress> parked;
+  std::uint64_t ops_at_migrate_start = 0;
+  std::uint64_t ops_at_cutover = 0;
+  std::optional<core::RegionMigrator> migrator;
   if (config.migrate) {
-    // The pre-scheduled coordinator tick train (see kMigrateTick): one tick
-    // every kMigrateTick from migrate_start to the end of the run.
-    for (Nanos when = config.migrate_start;
-         when < config.warmup + config.measure; when += kMigrateTick) {
-      sim.ScheduleAt(when, [&h, when] { h.MigrationTick(when); });
-    }
+    core::RegionMigrator::Hooks hooks;
+    hooks.detach = [&h, &parked] {
+      parked = h.Detach(0);
+      return true;
+    };
+    hooks.attach = [&h, &parked, &ops_at_cutover] {
+      h.Attach(0, &*parked);
+      ops_at_cutover = h.TotalOps();
+    };
+    hooks.on_start = [&h, &ops_at_migrate_start] {
+      ops_at_migrate_start = h.TotalOps();
+    };
+    core::RegionMigrator::Config mc;
+    mc.telemetry = config.telemetry;
+    // The copy stream rides a dedicated QP src→dst, sharing the fabric —
+    // and therefore contending — with the foreground read traffic.
+    migrator.emplace(
+        h.pool, *h.clients[0], kRegion, kPoolBase, h.bed.memory(1).nic.id(),
+        h.bed.memory(0).dev,
+        rdma::ConnectQueuePairs(h.bed.memory(0).dev, h.bed.memory(1).dev),
+        std::move(hooks), config.migrate_start, kMigrateTick,
+        config.warmup + config.measure, mc);
   }
 
   sim.RunFor(config.warmup);
@@ -437,17 +333,15 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
     }
   }
 
-  if (config.migrate) {
-    result.migrations = h.migrations;
-    if (h.migrator != nullptr) {
-      result.migrate_bytes_copied = h.migrator->bytes_copied();
-      result.migrate_dirty_marks = h.migrator->dirty_marks();
-    }
-    result.migrate_started_at = h.migrate_started_at;
-    result.migrate_cutover_at = h.migrate_cutover_at;
+  if (migrator.has_value()) {
+    result.migrations = migrator->cut_over() ? 1 : 0;
+    result.migrate_bytes_copied = migrator->bytes_copied();
+    result.migrate_dirty_marks = migrator->dirty_marks();
+    result.migrate_started_at = migrator->started_at();
+    result.migrate_cutover_at = migrator->cutover_at();
     // Phase split of the measure window, defined only when the whole
     // migration happened inside it.
-    if (h.migrations == 1 && h.migrate_started_at >= t0) {
+    if (result.migrations == 1 && result.migrate_started_at >= t0) {
       std::uint64_t warm_total = 0;
       for (const std::uint64_t w : warm) warm_total += w;
       const Nanos t_end = t0 + elapsed;
@@ -455,23 +349,23 @@ ScaleWorkloadResult RunScaleWorkload(const ScaleWorkloadConfig& config) {
                                   Nanos lo, Nanos hi) {
         return hi > lo ? Mops(hi_ops - lo_ops, hi - lo) : 0.0;
       };
-      result.mops_before = window_mops(warm_total, h.ops_at_migrate_start,
-                                       t0, h.migrate_started_at);
-      result.mops_during = window_mops(h.ops_at_migrate_start,
-                                       h.ops_at_cutover,
-                                       h.migrate_started_at,
-                                       h.migrate_cutover_at);
-      result.mops_after = window_mops(h.ops_at_cutover,
+      result.mops_before = window_mops(warm_total, ops_at_migrate_start,
+                                       t0, result.migrate_started_at);
+      result.mops_during = window_mops(ops_at_migrate_start,
+                                       ops_at_cutover,
+                                       result.migrate_started_at,
+                                       result.migrate_cutover_at);
+      result.mops_after = window_mops(ops_at_cutover,
                                       warm_total + result.ops,
-                                      h.migrate_cutover_at, t_end);
+                                      result.migrate_cutover_at, t_end);
       if (config.sample_latency) {
         PercentileSampler before, during, after;
         for (const auto& trace : h.latency_traces) {
           for (const auto& [completed_at, latency] : trace) {
             if (completed_at <= t0) continue;
             PercentileSampler& phase =
-                completed_at <= h.migrate_started_at ? before
-                : completed_at <= h.migrate_cutover_at ? during
+                completed_at <= result.migrate_started_at ? before
+                : completed_at <= result.migrate_cutover_at ? during
                                                        : after;
             phase.Add(static_cast<double>(latency));
           }

@@ -95,8 +95,6 @@ struct ScaleWorkloadConfig {
   // is byte-identical to a pre-rebalance build.
   bool migrate = false;
   Nanos migrate_start = Micros(400);
-  Bytes migrate_chunk = KiB(64);
-  int migrate_window = 4;  // outstanding copy WRITEs
 };
 
 struct ScaleWorkloadResult {

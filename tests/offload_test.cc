@@ -346,5 +346,34 @@ TEST(InstanceRegistry, ReassignMovesSnapshotBetweenEngines) {
   EXPECT_FALSE(reg.Reassign(99, eb));  // unknown instance
 }
 
+// An engine's detach can tell a handoff from a crash or a move by asking
+// the registry: the P4 binding keeps its probe loop alive only across a
+// handoff, because the same switch re-attaches the instance after it.
+TEST(InstanceRegistry, DetachSeesHandoffInProgressOnlyUnderBeginHandoff) {
+  InstanceRegistry reg;
+  std::vector<bool> seen;  // HandoffInProgress(1) inside each detach
+  EngineBinding binding;
+  binding.name = "probe";
+  binding.attach = [](std::uint32_t, const InstanceProgress*) {
+    return true;
+  };
+  binding.detach = [&reg, &seen](std::uint32_t id) {
+    seen.push_back(reg.HandoffInProgress(id));
+    return std::optional<InstanceProgress>();
+  };
+  const auto ea = reg.AddEngine(binding);
+  const auto eb = reg.AddEngine(binding);
+  reg.AddInstance(1, ea);
+
+  ASSERT_TRUE(reg.BeginHandoff(1));
+  EXPECT_TRUE(reg.HandoffInProgress(1));
+  EXPECT_EQ(reg.CompleteHandoff(1, ea), ea);
+  EXPECT_FALSE(reg.HandoffInProgress(1));
+  ASSERT_TRUE(reg.Reassign(1, eb));
+  EXPECT_FALSE(reg.StopEngine(eb).empty());
+  EXPECT_EQ(reg.EngineOf(1), ea);
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, false}));
+}
+
 }  // namespace
 }  // namespace cowbird::offload
